@@ -52,6 +52,8 @@ ACCEPTANCE_SEED = 31415926
 
 _DISK_ANCHOR = 0.3934693  # 1 - exp(-1/2), mass of the unit disk at level 0
 
+_SEARCH_BUDGET_MS = 300_000  # wall-clock bound on the whirly criterion's search
+
 
 @dataclass(frozen=True)
 class Criterion:
@@ -309,12 +311,13 @@ def _run_whirly(seed: int, workers: int, scale: float) -> ExperimentReport:
         "union_margin": main.observed["union_margin"],
         "found_n": main.observed["found_n"],
         "found_m": main.observed["found_m"],
-        "search_runtime_ms": float(main.runtime_ms),
+        # A flag rather than the time itself keeps the report deterministic.
+        "search_within_budget": 1.0 if main.runtime_ms <= _SEARCH_BUDGET_MS else 0.0,
         "control_union_margin": control.observed["union_margin"],
     }
     thresholds = {
         "union_margin": {"gt": 0.5},
-        "search_runtime_ms": {"max": 300_000.0},
+        "search_within_budget": {"min": 1.0},
         "control_union_margin": {"max": 0.5},
     }
     parameters = {"epsilon": 0.5, "samples": samples, "max_depth": 12}

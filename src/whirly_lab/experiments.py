@@ -26,9 +26,11 @@ from scipy import optimize
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
 from .montecarlo import (
     MIN_SAMPLES,
+    block_plan,
     default_block_size,
     estimate_joint_events,
     estimate_measure,
+    event_indicators,
     tally_blocks,
     wilson_interval,
 )
@@ -130,11 +132,6 @@ def _finish(
     )
 
 
-def _block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
-    blocks = (samples + block_size - 1) // block_size
-    return [(i, min(block_size, samples - i * block_size)) for i in range(blocks)]
-
-
 # ---------------------------------------------------------------------------
 # marginal laws
 # ---------------------------------------------------------------------------
@@ -168,7 +165,7 @@ def verify_marginals(
     sum1 = np.zeros(n_vars, dtype=np.complex128)
     sum_sq = np.zeros(n_vars, dtype=np.float64)
     cross = np.zeros((n_vars, n_vars), dtype=np.complex128)
-    for index, count in _block_plan(samples, default_block_size(depth)):
+    for index, count in block_plan(samples, default_block_size(depth)):
         levels = sampler(depth, count, rng.block(index))
         columns = [levels[n]] + [u_stat_arrays(levels, n, k) for k in range(n, n + 4)]
         w = np.concatenate(columns, axis=1)
@@ -592,9 +589,11 @@ def whirly_search(
     the first ``m`` whirled copies ``g(epsilon, k) . K`` for ``k = n ..
     n+m-1`` (all prefixes share one sample set, so the reported union curve is
     exactly monotone), capped so the deepest element fits in ``max_depth``.
-    The search passes as soon as one union clears ``1 - epsilon`` by three
-    standard errors; exhausting ``max_depth`` is reported as a failure, not an
-    exception.
+    Whirling elements are sampled in innovation coordinates, ``m + 1`` level
+    vectors per sample, and other elements on full trees (see
+    :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes as
+    soon as one union clears ``1 - epsilon`` by three standard errors;
+    exhausting ``max_depth`` is reported as a failure, not an exception.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -652,18 +651,14 @@ def whirly_search(
             continue
         events = [acted_set(element_factory(epsilon, k), target) for k in range(n, n + m_cap)]
         depth = max([n0] + [e.level for e in events])
+        block_size, indicators = event_indicators(events, depth)
 
         def union_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            levels = sample_levels(depth, count, gen)
-            stacked = np.stack([e.indicator(levels) for e in events])
+            stacked = indicators(gen, count)
             return np.logical_or.accumulate(stacked, axis=0).sum(axis=1).astype(np.int64)
 
         hits = tally_blocks(
-            union_block,
-            samples,
-            rng.child(3 + (n - n0)),
-            block_size=default_block_size(depth),
-            workers=workers,
+            union_block, samples, rng.child(3 + (n - n0)), block_size=block_size, workers=workers
         )
         for m in range(1, m_cap + 1):
             estimate = hits[m - 1] / samples

@@ -4,12 +4,19 @@ Estimators draw realizations of the tree process (unconditional or pinned at a
 level), evaluate set membership on the stored level arrays, and report the hit
 fraction with a Wilson score confidence interval.
 
+Families of whirled events are sampled in innovation coordinates when their
+structure allows it (see :func:`event_indicators`): each event then reads the
+level-``N`` values and one level of aggregated innovations, so a sample costs
+``(m + 1) * 2**N`` draws for ``m`` distinct bits instead of a full tree.  Every
+other family is evaluated on full trees, which stay the reference sampler.
+
 Sharding rule: the requested sample count is pre-partitioned into fixed-size
-blocks by index, and block ``i`` always draws from the stream's child key
-``(stream_id, i)``.  Workers only decide which blocks they execute, and block
-hit counts are integers summed commutatively, so the result is bit-identical
-for any worker count.  The block size depends only on the sampling depth (to
-bound per-block memory), never on run-time conditions.
+blocks by index (:func:`block_plan`), and block ``i`` always draws from the
+stream's child key ``(stream_id, i)``.  Workers only decide which blocks they
+execute, and block hit counts are integers summed commutatively, so the result
+is bit-identical for any worker count.  The block size is a function of the
+problem, never of run-time conditions: of the sampling depth for full trees,
+and of the deepest level the draws reach in innovation coordinates.
 """
 
 from __future__ import annotations
@@ -24,8 +31,15 @@ import numpy as np
 from scipy import stats
 
 from .rng import RngStream
-from .sets import BorelSet
-from .tree import DepthMismatchError, LevelVector, conditional_levels, sample_levels
+from .sets import ActedSet, BorelSet
+from .tree import (
+    DepthMismatchError,
+    LevelVector,
+    conditional_levels,
+    refine,
+    sample_levels,
+    standard_complex,
+)
 
 DEFAULT_CONFIDENCE = 0.95
 MIN_SAMPLES = 100
@@ -41,6 +55,12 @@ _MAX_BLOCK = 1 << 16
 def default_block_size(depth: int) -> int:
     """Fixed block size used by the shard rule at a given sampling depth."""
     return int(min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_LEAF_BUDGET >> depth)))
+
+
+def block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
+    """``(index, count)`` of each block that splits ``samples`` into blocks."""
+    blocks = (samples + block_size - 1) // block_size
+    return [(i, min(block_size, samples - i * block_size)) for i in range(blocks)]
 
 
 def tally_blocks(
@@ -62,7 +82,7 @@ def tally_blocks(
         raise ValueError("samples must be positive")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
-    plan = [(i, min(block_size, samples - i * block_size)) for i in range((samples + block_size - 1) // block_size)]
+    plan = block_plan(samples, block_size)
 
     def run(task: tuple[int, int]) -> np.ndarray:
         index, count = task
@@ -191,6 +211,73 @@ class JointTable:
 # ---------------------------------------------------------------------------
 
 
+def _innovation_copies(
+    events: Sequence[BorelSet], given: LevelVector | None
+) -> tuple[int, list[ActedSet]] | None:
+    """Level ``N`` and each event's :meth:`~whirly_lab.sets.ActedSet.innovation_copy`
+    at ``N``, when every event has one; ``N`` is the finest base or
+    conditioning level."""
+    if not all(isinstance(e, ActedSet) for e in events):
+        return None
+    level = max([e.base.level for e in events] + ([] if given is None else [given.level]))
+    copies = [e.innovation_copy(level) for e in events]
+    if any(c is None for c in copies):
+        return None
+    return level, copies
+
+
+def event_indicators(
+    events: Sequence[BorelSet], depth: int, *, given: LevelVector | None = None
+) -> tuple[int, Callable[[np.random.Generator, int], np.ndarray]]:
+    """Block size and block sampler for the indicators of a family of events.
+
+    The sampler maps ``(gen, count)`` to a boolean array of shape
+    ``(len(events), count)`` whose row ``j`` tells which of ``count`` fresh
+    realizations lie in event ``j``; with ``given`` the realizations come from
+    the exact conditional law pinned at that level vector.
+
+    When every event is ``g . K`` with ``g`` at level ``k + 1`` reading only
+    its last bit and ``k >= N``, ``N`` the finest base or conditioning level
+    (whirling elements, identity elements, any level-1 element), the
+    sampler draws ``x_N``, then for each distinct ``k`` in increasing order
+    one fresh standard ``U`` of shape ``(count, 2**N)``, shared by the events
+    with that ``k``.  This is the joint law of ``x_N`` and the aggregated
+    innovations ``U_k``, which are independent of ``x_N`` and of each other.
+    Only one ``U`` is held at a time, and blocks are sized for level
+    ``N + 1``.  Any other family is evaluated on full trees to ``depth``.
+    """
+
+    def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:
+        if given is None:
+            return sample_levels(to, count, gen)
+        return conditional_levels(given.entries, given.level, to, count, gen)
+
+    plan = _innovation_copies(events, given)
+    if plan is None:
+
+        def tree_block(gen: np.random.Generator, count: int) -> np.ndarray:
+            levels = levels_to(depth, gen, count)
+            return np.stack([e.indicator(levels) for e in events])
+
+        return default_block_size(depth), tree_block
+
+    level, copies = plan
+    by_bit: dict[int, list[int]] = {}
+    for j, e in enumerate(events):
+        by_bit.setdefault(e.element.level - 1, []).append(j)
+
+    def innovation_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        x = levels_to(level, gen, count)[level]
+        out = np.empty((len(events), count), dtype=bool)
+        for bit in sorted(by_bit):
+            w = refine(x, standard_complex(gen, x.shape))
+            for j in by_bit[bit]:
+                out[j] = copies[j].indicator_at(w)
+        return out
+
+    return default_block_size(level + 1), innovation_block
+
+
 def _check_common(depth: int, min_level: int, samples: int) -> None:
     if depth < min_level:
         raise DepthMismatchError(
@@ -278,7 +365,9 @@ def estimate_joint_events(
     """Joint occupancy counts for up to 12 events on shared samples.
 
     With ``given`` the samples come from the exact conditional law pinned at
-    that level vector.
+    that level vector.  Families of whirled events are sampled in innovation
+    coordinates (see :func:`event_indicators`), so their counts do not depend
+    on ``depth``.
     """
     n_events = len(events)
     if not 1 <= n_events <= MAX_JOINT_EVENTS:
@@ -287,18 +376,15 @@ def estimate_joint_events(
     if given is not None:
         min_level = max(min_level, given.level)
     _check_common(depth, min_level, samples)
+    block_size, indicators = event_indicators(events, depth, given=given)
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        if given is None:
-            levels = sample_levels(depth, count, gen)
-        else:
-            levels = conditional_levels(given.entries, given.level, depth, count, gen)
         code = np.zeros(count, dtype=np.int64)
-        for j, event in enumerate(events):
-            code |= event.indicator(levels).astype(np.int64) << j
+        for j, hit in enumerate(indicators(gen, count)):
+            code |= hit.astype(np.int64) << j
         return np.bincount(code, minlength=1 << n_events)
 
-    counts = tally_blocks(block, samples, rng, block_size=default_block_size(depth), workers=workers)
+    counts = tally_blocks(block, samples, rng, block_size=block_size, workers=workers)
     return JointTable(
         n_events=n_events,
         counts=tuple(int(c) for c in counts),

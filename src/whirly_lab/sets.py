@@ -286,6 +286,25 @@ class ActedSet(BorelSet):
     def _member(self, x: np.ndarray) -> np.ndarray:
         return self._eval_child(self.base, x * self._conj_phases)
 
+    def innovation_copy(self, level: int) -> "ActedSet | None":
+        """This event as a function of one level of innovations, or ``None``.
+
+        Applies when the base is determined at or above ``level`` and the
+        element lives at level ``k + 1 > level`` with a phase that depends
+        only on the last bit of its path.  The element then moves the
+        level-``level`` values ``x`` only through the level-``k`` innovations
+        aggregated to that level, ``U``, and a tree lies in this set exactly
+        when the level-``(level + 1)`` vector with children
+        ``(x + U)/sqrt(2)`` and ``(x - U)/sqrt(2)`` lies in the returned
+        copy, which acts with the same two phases at level ``level + 1``.
+        """
+        if self.element.level <= level or self.base.level > level:
+            return None
+        phases = self.element.phases
+        if np.any(phases[0::2] != phases[0]) or np.any(phases[1::2] != phases[1]):
+            return None
+        return acted_set(GroupElement(level + 1, np.tile(phases[:2], 1 << level)), self.base)
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,

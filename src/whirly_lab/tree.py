@@ -153,9 +153,12 @@ class ComplexGaussianConvention:
 
 
 def standard_complex(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Draw standard complex Gaussians of the given shape."""
-    parts = gen.standard_normal(tuple(shape) + (2,))
-    return parts[..., 0] + 1j * parts[..., 1]
+    """Draw standard complex Gaussians of the given shape.
+
+    Each value takes two consecutive normals, real part first, read in place
+    as one complex128.
+    """
+    return gen.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,33 @@ class TreeSample:
 # sampling
 # ---------------------------------------------------------------------------
 
+# Most complex values one call of a level sampler may hold: 2**26 values are
+# 1 GiB.  A depth-12 block of 512 rows holds 2**22, and blocks of 64 rows stay
+# within the budget down to depth 19.
+MAX_SAMPLER_VALUES = 1 << 26
+
+
+def _check_budget(depth: int, count: int) -> None:
+    """Refuse, before any draw, a call whose levels would exceed the budget."""
+    values = count * ((2 << depth) - 1)
+    if values > MAX_SAMPLER_VALUES:
+        raise ValueError(
+            f"{count} realizations to depth {depth} hold {values} complex values, "
+            f"above the sampler budget of {MAX_SAMPLER_VALUES}"
+        )
+
+
+def refine(parent: np.ndarray, innovation: np.ndarray) -> np.ndarray:
+    """One level of the innovation recursion along the last axis.
+
+    Node ``i`` of ``parent`` splits into children ``2i`` and ``2i + 1`` with
+    values ``(z + u)/sqrt(2)`` and ``(z - u)/sqrt(2)``.
+    """
+    child = np.empty(parent.shape[:-1] + (parent.shape[-1] * 2,), dtype=np.complex128)
+    child[..., 0::2] = (parent + innovation) / SQRT2
+    child[..., 1::2] = (parent - innovation) / SQRT2
+    return child
+
 
 def sample_levels(
     depth: int, count: int, rng: "RngStream | np.random.Generator"
@@ -287,15 +317,12 @@ def sample_levels(
         raise ValueError("depth must be non-negative")
     if count <= 0:
         raise ValueError("count must be positive")
+    _check_budget(depth, count)
     gen = as_generator(rng)
     levels = [standard_complex(gen, (count, 1))]
     for n in range(depth):
         parent = levels[n]
-        innovation = standard_complex(gen, parent.shape)
-        nxt = np.empty((count, parent.shape[1] * 2), dtype=np.complex128)
-        nxt[:, 0::2] = (parent + innovation) / SQRT2
-        nxt[:, 1::2] = (parent - innovation) / SQRT2
-        levels.append(nxt)
+        levels.append(refine(parent, standard_complex(gen, parent.shape)))
     return levels
 
 
@@ -317,6 +344,7 @@ def conditional_levels(
         raise DepthMismatchError(f"depth {depth} is above the conditioning level {level}")
     if count <= 0:
         raise ValueError("count must be positive")
+    _check_budget(depth, count)
     gen = as_generator(rng)
     pinned = np.asarray(entries, dtype=np.complex128).reshape(1, -1)
     if pinned.size != 1 << level:
@@ -325,11 +353,7 @@ def conditional_levels(
     levels.append(np.tile(pinned, (count, 1)))
     for n in range(level, depth):
         parent = levels[n]
-        innovation = standard_complex(gen, parent.shape)
-        nxt = np.empty((count, parent.shape[1] * 2), dtype=np.complex128)
-        nxt[:, 0::2] = (parent + innovation) / SQRT2
-        nxt[:, 1::2] = (parent - innovation) / SQRT2
-        levels.append(nxt)
+        levels.append(refine(parent, standard_complex(gen, parent.shape)))
     return levels
 
 
@@ -437,11 +461,7 @@ def tree_from_innovations(root: complex, innovation_levels: Sequence[np.ndarray]
         u = np.asarray(innovation, dtype=np.complex128).reshape(-1)
         if u.size != 1 << n:
             raise ValueError(f"innovation level {n} requires {1 << n} entries, got {u.size}")
-        parent = levels[n]
-        nxt = np.empty(parent.size * 2, dtype=np.complex128)
-        nxt[0::2] = (parent + u) / SQRT2
-        nxt[1::2] = (parent - u) / SQRT2
-        levels.append(nxt)
+        levels.append(refine(levels[n], u))
     return TreeSample(levels)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import whirly_lab.tree as tree_module
 from whirly_lab.cli import main, parse_set_spec
 from whirly_lab.sets import DiskProduct
 
@@ -100,6 +101,18 @@ class TestEstimateCommand:
         _, out4, _ = run_cli(capsys, *args, "--workers", "4")
         assert out1 == out4
 
+    def test_oversized_depth_exits_two_before_drawing(self, capsys, monkeypatch):
+        def no_draw(gen, shape):
+            raise AssertionError("drew before checking the budget")
+
+        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        code, out, err = run_cli(
+            capsys, "estimate", "--set", "disk:level0:r1.0", "--depth", "30", "--seed", "9"
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_missing_set_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--samples", "1000"])
@@ -176,10 +189,11 @@ class TestSuiteCommand:
         assert "PASS identities" in err
 
     def test_subset_output_is_deterministic(self, capsys):
-        args = ["suite", "--quick", "--criteria", "identities", "--seed", "17"]
+        args = ["suite", "--quick", "--criteria", "identities,whirly", "--seed", "17"]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+        assert set(json.loads(out1)["criteria"]) == {"identities", "whirly"}
 
     def test_unknown_criterion_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")

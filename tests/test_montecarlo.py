@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from whirly_lab import (
     DepthMismatchError,
+    GroupElement,
     LevelVector,
     RngStream,
     acted_set,
@@ -20,7 +21,10 @@ from whirly_lab import (
     estimate_conditional_measure,
     estimate_joint_events,
     estimate_measure,
+    event_indicators,
+    identity,
     make_gsk,
+    random_element,
     tally_blocks,
     wilson_interval,
 )
@@ -218,3 +222,91 @@ class TestJointEvents:
         payload = table.json_dict()
         assert set(payload) == {"events", "counts", "samples", "seed"}
         assert sum(payload["counts"]) == payload["samples"]
+
+
+def _tree_path(events):
+    """The same events as one-operand unions: the same sets, but not acted
+    images, so their family is evaluated on full trees."""
+    return [boolean_combine("union", [e]) for e in events]
+
+
+def _max_cell_sigma(a, b) -> float:
+    """Largest gap between two independent tables' cells, in standard errors."""
+    pa, pb = a.probs, b.probs
+    se = np.sqrt(pa * (1.0 - pa) / a.samples + pb * (1.0 - pb) / b.samples)
+    gap = np.abs(pa - pb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(gap == 0.0, 0.0, gap / se)))
+
+
+class TestInnovationPath:
+    """Whirled families sampled in innovation coordinates agree in law with
+    the same families evaluated on full trees."""
+
+    SAMPLES = 40_000
+
+    def _agree(self, events, depth, seed, given=None):
+        fast = estimate_joint_events(events, depth, self.SAMPLES, RngStream(seed), given=given)
+        slow = estimate_joint_events(_tree_path(events), depth, self.SAMPLES, RngStream(seed + 1), given=given)
+        assert _max_cell_sigma(fast, slow) < 4.0
+        # The innovation path never reads levels below N + 1, so depth does not
+        # change its draws; the tree path's draws would change.
+        deeper = estimate_joint_events(events, depth + 2, self.SAMPLES, RngStream(seed), given=given)
+        assert deeper.counts == fast.counts
+        return fast, slow
+
+    def test_unconditional_whirled_events(self):
+        disk = disk_product(0, 0j, 1.0)
+        self._agree([acted_set(make_gsk(0.5, k), disk) for k in range(4)], 4, 201)
+
+    def test_events_given_a_level_2_vector(self):
+        disk = disk_product(2, 0j, 1.5)
+        given = LevelVector(2, [0.3, -0.5j, 1.0 + 0.2j, 0.1])
+        self._agree([acted_set(make_gsk(1.0, k), disk) for k in range(2, 5)], 5, 203, given=given)
+
+    def test_repeated_bit_gives_identical_events(self):
+        disk = disk_product(1, 0.2 + 0j, 1.0)
+        events = [acted_set(make_gsk(0.5, k), disk) for k in (1, 1, 2)]
+        fast, slow = self._agree(events, 3, 205)
+        for table in (fast, slow):
+            assert table.cell([1, 0, 0]) == table.cell([0, 1, 0]) == 0.0
+            assert table.cell([1, 0, 1]) == table.cell([0, 1, 1]) == 0.0
+        assert fast.cell([1, 1, 0]) > 0.05
+
+    def test_non_conjugate_two_phase_element(self):
+        disk = disk_product(1, 0.5 + 0.2j, 1.2)
+        skew = GroupElement(3, np.tile(np.exp([0.4j, 2.1j]), 4))
+        self._agree([acted_set(skew, disk), acted_set(make_gsk(0.8, 1), disk)], 3, 207)
+
+    def test_identity_element(self):
+        disk = disk_product(0, 0j, 1.0)
+        fast, _ = self._agree([acted_set(identity(2), disk), acted_set(make_gsk(0.5, 1), disk)], 2, 209)
+        exact = disk_mass(1.0)
+        assert abs(fast.marginal(0) - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / fast.samples)
+
+    def test_innovation_path_is_worker_invariant(self):
+        events = [acted_set(make_gsk(0.5, k), disk_product(0, 0j, 1.0)) for k in range(3)]
+        a = estimate_joint_events(events, 3, 150_000, RngStream(211), workers=1)
+        b = estimate_joint_events(events, 3, 150_000, RngStream(211), workers=4)
+        assert a.counts == b.counts
+
+    def test_blocks_are_sized_for_the_level_the_draws_reach(self):
+        events = [acted_set(make_gsk(0.5, k), disk_product(6, 0j, 1.0)) for k in (6, 11)]
+        assert event_indicators(events, 12)[0] == default_block_size(7)
+        assert event_indicators(_tree_path(events), 12)[0] == default_block_size(12)
+
+    def test_other_families_keep_the_tree_sampler(self):
+        # Counts recorded from the full-tree sampler before innovation
+        # coordinates existed; families it cannot take must reproduce them.
+        d0 = disk_product(0, 0j, 1.0)
+        d2 = disk_product(2, 0j, 1.5)
+        scrambled = random_element(2, RngStream(90).generator())
+        a = estimate_joint_events(
+            [acted_set(scrambled, d0), acted_set(make_gsk(0.5, 1), d0)], 3, 3000, RngStream(91)
+        )
+        assert a.counts == (1153, 669, 672, 506)
+        # Bit 0 lies above the level-2 base.
+        b = estimate_joint_events(
+            [acted_set(make_gsk(0.5, 0), d2), acted_set(make_gsk(0.5, 2), d2)], 3, 3000, RngStream(92)
+        )
+        assert b.counts == (2137, 264, 252, 347)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whirly_lab.tree as tree_module
 from whirly_lab import (
     ComplexGaussianConvention,
     DepthMismatchError,
@@ -81,6 +82,24 @@ class TestSampling:
         b = sample_levels(3, 5, RngStream(9, 2))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_standard_complex_pairs_consecutive_normals(self):
+        draws = standard_complex(RngStream(8).generator(), (3, 2))
+        parts = RngStream(8).generator().standard_normal((3, 2, 2))
+        np.testing.assert_array_equal(draws.real, parts[..., 0])
+        np.testing.assert_array_equal(draws.imag, parts[..., 1])
+
+    def test_oversized_requests_are_refused_before_any_draw(self, monkeypatch):
+        def no_draw(gen, shape):
+            raise AssertionError("drew before checking the budget")
+
+        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        with pytest.raises(ValueError, match="budget"):
+            sample_levels(30, 64, RngStream(1))
+        with pytest.raises(ValueError, match="budget"):
+            conditional_levels(np.zeros(1), 0, 30, 64, RngStream(1))
+        with pytest.raises(ValueError, match="budget"):
+            sample_tree(26, RngStream(1))
 
     def test_distinct_streams_decorrelate(self):
         a = sample_levels(0, 100, RngStream(9, 0))[0]
