@@ -37,6 +37,7 @@ from .montecarlo import (
 from .rng import RngStream
 from .sets import BorelSet, acted_set, affine_image, disk_mass, disk_product, symmetric_difference
 from .tree import (
+    MAX_SAMPLER_VALUES,
     LevelVector,
     project,
     sample_levels,
@@ -502,6 +503,26 @@ def verify_conditional_independence(
 # ---------------------------------------------------------------------------
 
 
+def _translated_hits(
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
+) -> np.ndarray:
+    """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each.
+
+    The ``z`` are standard level vectors drawn from ``rng.child(1)``; scan
+    ``j`` draws its level vectors from block ``j`` of ``rng.child(2)`` and
+    hits when ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.
+    """
+    width = 1 << target.level
+    scale = math.sqrt(1.0 + a * a)
+    zs = standard_complex(rng.child(1).generator(), (z_samples, width))
+    inner_stream = rng.child(2)
+    hits = np.empty(z_samples, dtype=np.int64)
+    for j in range(z_samples):
+        w = standard_complex(inner_stream.block(j), (inner_samples, width))
+        hits[j] = np.count_nonzero(target.indicator_at((w - a * zs[j]) / scale))
+    return hits
+
+
 def positivity_scan(
     target: BorelSet,
     a: float,
@@ -523,23 +544,14 @@ def positivity_scan(
         raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
     started = time.perf_counter()
     n = target.level
-    width = 1 << n
-    scale = math.sqrt(1.0 + a * a)
 
     base = estimate_measure(target, n, max(inner_samples, MIN_SAMPLES), rng.child(0))
     if not base.ci_low > 0.0:
         raise ValueError("target set is estimated null; translated measures are uninformative")
 
-    zs = standard_complex(rng.child(1).generator(), (z_samples, width))
-    inner_stream = rng.child(2)
-    measures = np.empty(z_samples)
-    clear = 0
-    for j in range(z_samples):
-        w = standard_complex(inner_stream.block(j), (inner_samples, width))
-        hits = int(np.count_nonzero(target.indicator_at((w - a * zs[j]) / scale)))
-        measures[j] = hits / inner_samples
-        if wilson_interval(hits, inner_samples)[0] > 0.0:
-            clear += 1
+    hits = _translated_hits(target, a, z_samples, inner_samples, rng)
+    measures = hits / inner_samples
+    clear = sum(1 for h in hits if wilson_interval(int(h), inner_samples)[0] > 0.0)
 
     fractions = {"50": 0.50, "75": 0.75, "87": math.sqrt(1.0 - 0.25), "95": 0.95}
     observed = {
@@ -593,7 +605,10 @@ def whirly_search(
     vectors per sample, and other elements on full trees (see
     :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes as
     soon as one union clears ``1 - epsilon`` by three standard errors;
-    exhausting ``max_depth`` is reported as a failure, not an exception.
+    exhausting ``max_depth`` is reported as a failure, not an exception.  A
+    ``max_depth`` whose elements would hold more than
+    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases is refused with a
+    ``ValueError`` before anything is drawn or built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -601,30 +616,25 @@ def whirly_search(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if max_depth < target.level + 1:
         raise ValueError("max_depth leaves no room for any whirling element")
-    if max_depth > 40:
-        raise ValueError("max_depth above 40 is not tractable")
+    # The elements for k < max_depth hold 2**(k + 1) phases each, close to
+    # 2**(max_depth + 1) in all; refuse before building any of them.
+    if max_depth + 1 >= MAX_SAMPLER_VALUES.bit_length():
+        raise ValueError(
+            f"max_depth {max_depth} needs whirling elements with about 2**{max_depth + 1} "
+            f"phases, above the sampler budget of {MAX_SAMPLER_VALUES}"
+        )
     if z_samples < 10 or inner_samples < MIN_SAMPLES:
         raise ValueError("constants phase needs z_samples >= 10 and inner_samples >= 100")
     started = time.perf_counter()
     n0 = target.level
-    width = 1 << n0
 
     base = estimate_measure(target, n0, max(inner_samples, samples // 10), rng.child(0))
     if not base.ci_low > 0.0:
         raise ValueError("target set is estimated null; nothing to search for")
 
     # Constants phase.
-    a = -1.0 / epsilon
-    scale = math.sqrt(1.0 + a * a)
     needed_fraction = math.sqrt(1.0 - epsilon / 2.0)
-    zs = standard_complex(rng.child(1).generator(), (z_samples, width))
-    inner_stream = rng.child(2)
-    translated = np.empty(z_samples)
-    for j in range(z_samples):
-        w = standard_complex(inner_stream.block(j), (inner_samples, width))
-        translated[j] = float(
-            np.count_nonzero(target.indicator_at((w - a * zs[j]) / scale))
-        ) / inner_samples
+    translated = _translated_hits(target, -1.0 / epsilon, z_samples, inner_samples, rng) / inner_samples
     ordered = np.sort(translated)[::-1]
     rank = min(int(needed_fraction * z_samples) + 1, z_samples)
     delta = float(ordered[rank - 1])

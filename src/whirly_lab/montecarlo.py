@@ -16,11 +16,14 @@ stream's child key ``(stream_id, i)``.  Workers only decide which blocks they
 execute, and block hit counts are integers summed commutatively, so the result
 is bit-identical for any worker count.  The block size is a function of the
 problem, never of run-time conditions: of the sampling depth for full trees,
-and of the deepest level the draws reach in innovation coordinates.
+and of the deepest level the draws reach in innovation coordinates.  It is
+also never read from the machine (its cache sizes, its core count), because
+the block plan decides which draws each sample gets.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -45,16 +48,17 @@ DEFAULT_CONFIDENCE = 0.95
 MIN_SAMPLES = 100
 MAX_JOINT_EVENTS = 12
 
-# Per-block leaf budget: keeps a block's level arrays around a few tens of MB
-# at any depth while letting shallow problems run in large vectorized chunks.
-_BLOCK_LEAF_BUDGET = 1 << 21
+# Per-block leaf budget: a depth-d block holds fewer than 2**17 complex values
+# over all its levels (2 MB, the size of a typical L2 cache) unless the
+# _MIN_BLOCK floor binds, and many small blocks spread evenly over workers.
+# A fixed constant, because it decides the draws.
+_BLOCK_LEAF_BUDGET = 1 << 16
 _MIN_BLOCK = 64
-_MAX_BLOCK = 1 << 16
 
 
 def default_block_size(depth: int) -> int:
     """Fixed block size used by the shard rule at a given sampling depth."""
-    return int(min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_LEAF_BUDGET >> depth)))
+    return max(_MIN_BLOCK, _BLOCK_LEAF_BUDGET >> depth)
 
 
 def block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
@@ -105,6 +109,12 @@ def tally_blocks(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _normal_quantile(confidence: float) -> float:
+    """Two-sided standard normal quantile of a confidence level."""
+    return float(stats.norm.ppf(0.5 * (1.0 + confidence)))
+
+
 def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -117,7 +127,7 @@ def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDE
         raise ValueError("hits must lie in [0, samples]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    z = float(stats.norm.ppf(0.5 * (1.0 + confidence)))
+    z = _normal_quantile(confidence)
     p = hits / samples
     zz = z * z / samples
     center = (p + zz / 2.0) / (1.0 + zz)

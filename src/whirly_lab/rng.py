@@ -12,8 +12,12 @@ makes parallel runs bit-reproducible.
 
 Components that need several internal streams derive them with
 :meth:`RngStream.child`, which maps ``stream_id`` to ``64 * stream_id + 1 + index``.
-The scheme is collision-free as long as caller-chosen stream ids stay below 64,
-which is plenty for the command-line surface (ids picked by hand, usually 0).
+That map is injective and raises the id, so the streams derived from one
+stream never repeat each other or it.  It does not keep derived ids apart from
+ids picked by hand: every id that is not a multiple of 64 is already some
+stream's child (``RngStream(s, 1)`` is ``RngStream(s, 0).child(0)``, so a run
+with ``--stream 1`` repeats the draws of stream 0's first child).  Only
+hand-picked ids that are multiples of 64, 0 included, head disjoint families.
 """
 
 from __future__ import annotations
@@ -54,7 +58,13 @@ class RngStream:
         return replace(self, stream_id=stream_id)
 
     def child(self, index: int) -> "RngStream":
-        """Derived stream for internal use by composite computations."""
+        """Derived stream ``64 * stream_id + 1 + index`` for internal use by
+        composite computations.
+
+        Distinct ``(stream_id, index)`` pairs give distinct streams, but the
+        result can equal a stream picked by id: ``RngStream(s, 0).child(0)``
+        is ``RngStream(s, 1)``.
+        """
         if not 0 <= index < _CHILD_FANOUT - 1:
             raise ValueError(f"child index must lie in [0, {_CHILD_FANOUT - 1})")
         return replace(self, stream_id=_CHILD_FANOUT * self.stream_id + 1 + index)

@@ -1,7 +1,7 @@
 """Dyadic Gaussian tree process: exact sampling, projections, coordinate changes.
 
-The process assigns a complex value to every finite binary string.  Values are
-generated top-down from independent innovations: the root value is a standard
+The process assigns a complex value to every finite binary string.  It is
+defined top-down from independent innovations: the root value is a standard
 complex Gaussian, and each node of value ``z`` splits with a fresh standard
 complex Gaussian innovation ``u`` into
 
@@ -14,6 +14,13 @@ Gaussians.  The innovation is recovered as ``u == (child0 - child1)/sqrt(2)``,
 which makes (root, innovations) a bijective coordinate system for depth-N
 realizations; :func:`phi_roundtrip` measures how exactly the implementation
 realizes that bijection.
+
+Both directions give the same law.  :func:`sample_levels` draws leaf-first:
+the deepest level as i.i.d. standard complex values in one call, then every
+shallower level by averaging sibling pairs.
+The root-first :func:`refine` recursion serves the conditional sampler, the
+innovation coordinates and :func:`tree_from_innovations`, and stays the
+reference the leaf-first sampler is tested against.
 
 "Standard complex Gaussian" throughout this library means: independent real
 and imaginary parts, each mean 0 and variance 1.  See
@@ -233,8 +240,7 @@ class TreeSample:
     def _check_averaging(self) -> None:
         for n in range(self.depth):
             parent = self._levels[n]
-            child = self._levels[n + 1]
-            rebuilt = (child[0::2] + child[1::2]) / SQRT2
+            rebuilt = _coarsen(self._levels[n + 1])
             bound = AVERAGING_REL_TOL * (1.0 + np.abs(parent))
             if np.any(np.abs(parent - rebuilt) > bound):
                 raise ValueError(f"averaging constraint violated at level {n}")
@@ -245,11 +251,7 @@ class TreeSample:
         arr = np.asarray(leaves, dtype=np.complex128).reshape(-1)
         if arr.size == 0 or arr.size & (arr.size - 1):
             raise ValueError("leaf count must be a power of two")
-        levels = [arr]
-        while levels[0].size > 1:
-            child = levels[0]
-            levels.insert(0, (child[0::2] + child[1::2]) / SQRT2)
-        return cls(levels)
+        return cls(_levels_from_leaves(arr))
 
     @property
     def depth(self) -> int:
@@ -276,9 +278,11 @@ class TreeSample:
 # sampling
 # ---------------------------------------------------------------------------
 
-# Most complex values one call of a level sampler may hold: 2**26 values are
-# 1 GiB.  A depth-12 block of 512 rows holds 2**22, and blocks of 64 rows stay
-# within the budget down to depth 19.
+# Most complex values one call of a level sampler may hold, counting every
+# returned level, not only the drawn ones: 2**26 values are 1 GiB.  A default
+# montecarlo block holds under 2**17 down to depth 10, and its 64-row floor
+# stays within the budget down to depth 19.  The same budget bounds the phases
+# of the whirling elements a search builds.
 MAX_SAMPLER_VALUES = 1 << 26
 
 
@@ -304,26 +308,41 @@ def refine(parent: np.ndarray, innovation: np.ndarray) -> np.ndarray:
     return child
 
 
+def _coarsen(child: np.ndarray) -> np.ndarray:
+    """One level of averaging along the last axis, the inverse of :func:`refine`:
+    node ``i`` of the result is ``(child[2i] + child[2i + 1])/sqrt(2)``."""
+    return (child[..., 0::2] + child[..., 1::2]) / SQRT2
+
+
+def _levels_from_leaves(leaves: np.ndarray) -> list[np.ndarray]:
+    """Every level from the root down to ``leaves`` (last axis), by averaging."""
+    levels = [leaves]
+    while levels[0].shape[-1] > 1:
+        levels.insert(0, _coarsen(levels[0]))
+    return levels
+
+
 def sample_levels(
     depth: int, count: int, rng: "RngStream | np.random.Generator"
 ) -> list[np.ndarray]:
     """Vectorized sampler: ``count`` independent realizations to ``depth``.
 
-    Returns one array per level, of shape ``(count, 2**n)``.  Draw order is
-    fixed (root array first, then innovations level by level), so results are
-    reproducible for a given stream.
+    Returns one array per level, of shape ``(count, 2**n)``.  The draw is
+    leaf-first: one array of ``(count, 2**depth)`` i.i.d. standard complex
+    values is level ``depth``, and each shallower level averages the one
+    below it.  Any fixed level of the process is i.i.d. standard, and the
+    averaging constraint determines every level above it, so this is the law
+    of the root-first recursion.  Both draw ``2**depth`` values per
+    realization; leaf-first draws them in one call and computes one value
+    per parent node, where :func:`refine` computes and interleaves two per
+    child pair.  Results are reproducible for a given stream.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if count <= 0:
         raise ValueError("count must be positive")
     _check_budget(depth, count)
-    gen = as_generator(rng)
-    levels = [standard_complex(gen, (count, 1))]
-    for n in range(depth):
-        parent = levels[n]
-        levels.append(refine(parent, standard_complex(gen, parent.shape)))
-    return levels
+    return _levels_from_leaves(standard_complex(as_generator(rng), (count, 1 << depth)))
 
 
 def conditional_levels(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import whirly_lab.experiments as experiments_module
 import whirly_lab.tree as tree_module
 from whirly_lab.cli import main, parse_set_spec
 from whirly_lab.sets import DiskProduct
@@ -157,6 +158,17 @@ class TestVerifyCommands:
         code, _, err = run_cli(capsys, "verify-marginals", "--samples", "10", "--seed", "3")
         assert code == 2
         assert "error:" in err
+
+    def test_deep_search_exits_two_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking the budget")
+
+        monkeypatch.setattr(tree_module, "standard_complex", refuse)
+        monkeypatch.setattr(experiments_module, "acted_set", refuse)
+        code, out, err = run_cli(capsys, "whirly-search", "--max-depth", "30", "--seed", "9")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -220,6 +220,13 @@ class TestWhirlySearch:
         with pytest.raises(ValueError):
             whirly_search(UNIT_DISK, 0.5, 5000, 0, RngStream(124))
 
+        def no_element(s, k):
+            raise AssertionError("built an element before checking the budget")
+
+        for max_depth in (26, 30, 45):
+            with pytest.raises(ValueError, match="budget"):
+                whirly_search(UNIT_DISK, 0.5, 5000, max_depth, RngStream(124), element_factory=no_element)
+
 
 class TestSharpness:
     def test_matched_coefficients_concentrate_at_one(self):

@@ -91,6 +91,14 @@ class TestTallyBlocks:
         assert default_block_size(0) >= default_block_size(8)
         assert default_block_size(30) >= 64
 
+    def test_blocks_hold_at_most_two_megabytes_above_the_floor(self):
+        for depth in range(31):
+            size = default_block_size(depth)
+            values = size * ((2 << depth) - 1)
+            # 2**17 complex values are 2 MB; only the 64-sample floor may exceed it.
+            assert values <= 1 << 17 or size == 64, depth
+        assert default_block_size(0) == 1 << 16
+
 
 class TestWilson:
     def test_frozen_anchor(self):
@@ -296,17 +304,18 @@ class TestInnovationPath:
         assert event_indicators(_tree_path(events), 12)[0] == default_block_size(12)
 
     def test_other_families_keep_the_tree_sampler(self):
-        # Counts recorded from the full-tree sampler before innovation
-        # coordinates existed; families it cannot take must reproduce them.
+        # Counts recorded from the leaf-first full-tree sampler with blocks of
+        # at most 2**17 values; families the innovation path cannot take must
+        # reproduce them.
         d0 = disk_product(0, 0j, 1.0)
         d2 = disk_product(2, 0j, 1.5)
         scrambled = random_element(2, RngStream(90).generator())
         a = estimate_joint_events(
             [acted_set(scrambled, d0), acted_set(make_gsk(0.5, 1), d0)], 3, 3000, RngStream(91)
         )
-        assert a.counts == (1153, 669, 672, 506)
+        assert a.counts == (1173, 667, 662, 498)
         # Bit 0 lies above the level-2 base.
         b = estimate_joint_events(
             [acted_set(make_gsk(0.5, 0), d2), acted_set(make_gsk(0.5, 2), d2)], 3, 3000, RngStream(92)
         )
-        assert b.counts == (2137, 264, 252, 347)
+        assert b.counts == (2113, 247, 275, 365)

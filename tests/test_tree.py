@@ -244,6 +244,67 @@ class TestMarginals:
         assert np.abs(second - 2.0).max() < 4.0 * 2.0 / math.sqrt(count)
 
 
+def _root_first_levels(depth: int, count: int, seed: int) -> list[np.ndarray]:
+    """Reference sampler: ``count`` trees built root-first by the innovation
+    recursion, one :func:`tree_from_innovations` call per tree."""
+    gen = RngStream(seed).generator()
+    trees = [
+        tree_from_innovations(
+            complex(standard_complex(gen, (1,))[0]),
+            [standard_complex(gen, (1 << n,)) for n in range(depth)],
+        )
+        for _ in range(count)
+    ]
+    return [np.stack([t.level(n) for t in trees]) for n in range(depth + 1)]
+
+
+def _law_statistics(levels: list[np.ndarray], depth: int) -> dict[str, np.ndarray]:
+    """Per-node sample moments to compare between samplers: the second moment
+    of every level value and of every aggregated innovation, and the
+    cross-moment of each level value with the innovations below it."""
+    out = {}
+    for n in range(depth + 1):
+        x = levels[n]
+        out[f"x{n}"] = (np.abs(x) ** 2).mean(axis=0)
+        for k in range(n, depth):
+            u = u_stat_arrays(levels, n, k)
+            out[f"u{n},{k}"] = (np.abs(u) ** 2).mean(axis=0)
+            out[f"xu{n},{k}"] = (x * u.conj()).mean(axis=0)
+    return out
+
+
+class TestLeafFirstSampler:
+    """``sample_levels`` draws the leaves and averages upward; the root-first
+    innovation recursion is the reference it must agree with in law."""
+
+    DEPTH = 4
+    COUNT = 8000
+
+    def test_agrees_in_law_with_the_root_first_recursion(self):
+        leaf_first = _law_statistics(sample_levels(self.DEPTH, self.COUNT, RngStream(31)), self.DEPTH)
+        root_first = _law_statistics(_root_first_levels(self.DEPTH, self.COUNT, 32), self.DEPTH)
+        # Every statistic is a mean of count terms of variance 4 (a squared
+        # modulus, or the product of two independent standard values).
+        se = math.sqrt(2.0 * 4.0 / self.COUNT)
+        worst = max(float(np.max(np.abs(leaf_first[key] - root_first[key]))) / se for key in leaf_first)
+        assert worst < 4.5
+        # Both also sit at the closed forms: second moment 2, cross-moment 0.
+        for stats in (leaf_first, root_first):
+            for key, value in stats.items():
+                expected = 0.0 if key.startswith("xu") else ComplexGaussianConvention.SECOND_MOMENT
+                assert np.max(np.abs(value - expected)) < 4.5 * math.sqrt(4.0 / self.COUNT), key
+
+    def test_averaging_constraint_holds_exactly(self):
+        levels = sample_levels(5, 300, RngStream(33))
+        for n in range(5):
+            child = levels[n + 1]
+            np.testing.assert_array_equal(levels[n], (child[:, 0::2] + child[:, 1::2]) / SQRT2)
+
+    def test_draws_only_the_deepest_level(self):
+        levels = sample_levels(3, 5, RngStream(34))
+        np.testing.assert_array_equal(levels[3], standard_complex(RngStream(34).generator(), (5, 8)))
+
+
 class TestDiskMass:
     def test_centered_matches_exponential_form(self):
         for r in (0.5, 1.0, 2.0):
