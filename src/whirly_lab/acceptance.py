@@ -25,6 +25,7 @@ from .experiments import (
     EXACT_TOL,
     ExperimentReport,
     SIGMA_LIMIT,
+    _finish,
     positivity_scan,
     sharpness_check,
     verify_action_identity,
@@ -67,25 +68,6 @@ class Criterion:
         if scale <= 0.0:
             raise ValueError("scale must be positive")
         return self.runner(seed, workers, scale)
-
-
-def _report(
-    name: str,
-    parameters: dict,
-    observed: dict,
-    thresholds: dict,
-    seed: int,
-    started: float,
-) -> ExperimentReport:
-    return ExperimentReport(
-        name=name,
-        parameters=parameters,
-        observed=observed,
-        thresholds=thresholds,
-        passed=ExperimentReport.evaluate(observed, thresholds),
-        seed=seed,
-        runtime_ms=int(1000.0 * (time.perf_counter() - started)),
-    )
 
 
 def _scaled(base: int, scale: float, floor: int) -> int:
@@ -144,7 +126,7 @@ def _run_identities(seed: int, workers: int, scale: float) -> ExperimentReport:
         "s_values": list(s_values),
         "trials": trials,
     }
-    return _report("acceptance-identities", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-identities", parameters, observed, thresholds, seed, started)
 
 
 # --- 2: marginal laws at every level ----------------------------------------
@@ -182,7 +164,7 @@ def _run_estimator(seed: int, workers: int, scale: float) -> ExperimentReport:
     observed = {"max_sigma": float(max_sigma)}
     thresholds = {"max_sigma": {"max": SIGMA_LIMIT}}
     parameters = {"pairs": 10, "samples": samples}
-    return _report("acceptance-estimator", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-estimator", parameters, observed, thresholds, seed, started)
 
 
 # --- 4: convolution identity --------------------------------------------------
@@ -217,7 +199,7 @@ def _run_convolution(seed: int, workers: int, scale: float) -> ExperimentReport:
         "max_anchor_deviation": {"max": anchor_tol},
     }
     parameters = {"a_values": list(a_values), "samples": samples}
-    return _report("acceptance-convolution", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-convolution", parameters, observed, thresholds, seed, started)
 
 
 # --- 5: conditional independence with a broken-control -----------------------
@@ -255,7 +237,7 @@ def _run_independence(seed: int, workers: int, scale: float) -> ExperimentReport
         "control_max_cell_sigma": {"gt": SIGMA_LIMIT},
     }
     parameters = {"s": 1.0, "m": 3, "samples": samples, "given": "zero"}
-    return _report("acceptance-independence", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-independence", parameters, observed, thresholds, seed, started)
 
 
 # --- 6: uniform continuity ----------------------------------------------------
@@ -321,7 +303,7 @@ def _run_whirly(seed: int, workers: int, scale: float) -> ExperimentReport:
         "control_union_margin": {"max": 0.5},
     }
     parameters = {"epsilon": 0.5, "samples": samples, "max_depth": 12}
-    return _report("acceptance-whirly", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-whirly", parameters, observed, thresholds, seed, started)
 
 
 # --- 8: positivity of translated measures -------------------------------------
@@ -368,7 +350,7 @@ def _run_sharpness(seed: int, workers: int, scale: float) -> ExperimentReport:
         "tight_criterion_gap": {"max": 1e-12},
     }
     parameters = {"dims": dims, "reps": reps, "pairs": [[2.0, 1.0], ["sqrt2", 1.0]]}
-    return _report("acceptance-sharpness", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-sharpness", parameters, observed, thresholds, seed, started)
 
 
 # --- 10: engineering guarantees ------------------------------------------------
@@ -412,7 +394,7 @@ def _run_engineering(seed: int, workers: int, scale: float) -> ExperimentReport:
         "coverage_fraction": {"min": 0.90},
     }
     parameters = {"samples": samples, "coverage_runs": runs, "coverage_samples": 2000}
-    return _report("acceptance-engineering", parameters, observed, thresholds, seed, started)
+    return _finish("acceptance-engineering", parameters, observed, thresholds, seed, started)
 
 
 CRITERIA: tuple[Criterion, ...] = (

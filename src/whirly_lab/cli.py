@@ -320,7 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the measure of a set")
     p.add_argument("--set", type=parse_set_spec, required=True, help="disk:levelN:rR[:cX,Y], inline JSON, or a JSON file")
-    p.add_argument("--depth", type=int, default=None, help="sampling depth (default: the set's level)")
+    p.add_argument(
+        "--depth",
+        type=int,
+        default=None,
+        help="tree depth to validate (default: the set's level); it must reach the set's level "
+        "and fit the sampler budget, but the draws do not depend on it",
+    )
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--confidence", type=float, default=0.95)
     _add_common(p, workers=True)

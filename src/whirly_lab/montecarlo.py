@@ -1,14 +1,20 @@
 """Seeded Monte Carlo estimation of set measures with Wilson intervals.
 
 Estimators draw realizations of the tree process (unconditional or pinned at a
-level), evaluate set membership on the stored level arrays, and report the hit
-fraction with a Wilson score confidence interval.
+level), evaluate set membership, and report the hit fraction with a Wilson
+score confidence interval.
+
+:func:`estimate_measure` draws only what its set reads: the exact joint law
+of the ``D`` linear reads the set makes of its level-``L`` vector when
+``D < 2**L`` (see :func:`_membership_sampler`), and otherwise that level
+alone, never the levels below it; its ``depth`` is validated, not sampled.
 
 Families of whirled events are sampled in innovation coordinates when their
 structure allows it (see :func:`event_indicators`): each event then reads the
 level-``N`` values and one level of aggregated innovations, so a sample costs
-``(m + 1) * 2**N`` draws for ``m`` distinct bits instead of a full tree.  Every
-other family is evaluated on full trees, which stay the reference sampler.
+``(m + 1) * 2**N`` draws for ``m`` distinct bits instead of a full tree.
+Every other family, and the conditional estimator, is evaluated on full
+trees, which stay the reference sampler.
 
 Sharding rule: the requested sample count is pre-partitioned into fixed-size
 blocks by index (:func:`block_plan`), and block ``i`` always draws from the
@@ -16,9 +22,10 @@ stream's child key ``(stream_id, i)``.  Workers only decide which blocks they
 execute, and block hit counts are integers summed commutatively, so the result
 is bit-identical for any worker count.  The block size is a function of the
 problem, never of run-time conditions: of the sampling depth for full trees,
-and of the deepest level the draws reach in innovation coordinates.  It is
-also never read from the machine (its cache sizes, its core count), because
-the block plan decides which draws each sample gets.
+of the level a set's draws fill (its own, or that of its padded reads), and
+of the deepest level the draws reach in innovation coordinates.  It is also
+never read from the machine (its cache sizes, its core count), because the
+block plan decides which draws each sample gets.
 """
 
 from __future__ import annotations
@@ -34,10 +41,11 @@ import numpy as np
 from scipy import stats
 
 from .rng import RngStream
-from .sets import ActedSet, BorelSet
+from .sets import ActedSet, BorelSet, linear_reads
 from .tree import (
     DepthMismatchError,
     LevelVector,
+    check_sampler_budget,
     conditional_levels,
     refine,
     sample_levels,
@@ -54,6 +62,11 @@ MAX_JOINT_EVENTS = 12
 # A fixed constant, because it decides the draws.
 _BLOCK_LEAF_BUDGET = 1 << 16
 _MIN_BLOCK = 64
+
+# Most entries of a read matrix (16 MB).  It binds only above level 10, where
+# it keeps the matrix, its QR factorization and the per-realization product
+# with its factor cheaper than drawing the level itself.
+_MAX_READ_ENTRIES = 1 << 20
 
 
 def default_block_size(depth: int) -> int:
@@ -297,6 +310,70 @@ def _check_common(depth: int, min_level: int, samples: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
+def _estimate(
+    hits: Callable[[np.random.Generator, int], np.ndarray],
+    block_size: int,
+    samples: int,
+    rng: RngStream,
+    workers: int,
+    confidence: float,
+) -> MeasureEstimate:
+    """Tally the boolean block sampler ``hits`` over the shard plan and wrap
+    the hit fraction in its Wilson interval."""
+
+    def block(gen: np.random.Generator, count: int) -> np.ndarray:
+        return np.array([int(np.count_nonzero(hits(gen, count)))], dtype=np.int64)
+
+    total = int(tally_blocks(block, samples, rng, block_size=block_size, workers=workers)[0])
+    low, high = wilson_interval(total, samples, confidence)
+    return MeasureEstimate(
+        estimate=total / samples,
+        ci_low=low,
+        ci_high=high,
+        samples=samples,
+        hits=total,
+        seed=rng.master_seed,
+        confidence=confidence,
+        stream_id=rng.stream_id,
+    )
+
+
+def _membership_sampler(
+    target: BorelSet,
+) -> tuple[int, Callable[[np.random.Generator, int], np.ndarray]]:
+    """Block size and block sampler of membership in ``target``.
+
+    The sampler maps ``(gen, count)`` to a boolean array telling which of
+    ``count`` fresh realizations lie in ``target``.  When the set makes fewer
+    linear reads ``D`` of its level-``L`` vector than ``2**L`` (see
+    :func:`~whirly_lab.sets.linear_reads`), and its ``D x 2**L`` read matrix
+    has at most ``_MAX_READ_ENTRIES`` entries (which binds only above level
+    10), it draws ``D`` standard complex values ``xi`` per realization and
+    evaluates the reduced set on ``xi @ conj(R)``, where ``A^H = Q R`` is a QR factorization of the read
+    matrix ``A``: the reads ``x @ A.T`` equal ``(x @ conj(Q)) @ conj(R)``, and
+    ``x @ conj(Q)`` is i.i.d. standard because ``Q`` has orthonormal columns.
+    Blocks are then sized for the level of the reads.  Any other set draws its
+    own level with :func:`~whirly_lab.tree.sample_levels` and no level below.
+    """
+    reads = linear_reads(target, min((1 << target.level) - 1, _MAX_READ_ENTRIES >> target.level))
+    if reads is None:
+        level = target.level
+
+        def level_block(gen: np.random.Generator, count: int) -> np.ndarray:
+            return target.indicator(sample_levels(level, count, gen))
+
+        return default_block_size(level), level_block
+
+    rows = reads.matrix.shape[0]
+    factor = np.zeros((rows, 1 << reads.reduced.level), dtype=np.complex128)
+    factor[:, :rows] = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
+
+    def read_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        return reads.reduced.indicator_at(standard_complex(gen, (count, rows)) @ factor)
+
+    return default_block_size(reads.reduced.level), read_block
+
+
 def estimate_measure(
     target: BorelSet,
     depth: int,
@@ -306,29 +383,22 @@ def estimate_measure(
     workers: int = 1,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> MeasureEstimate:
-    """Estimate the measure of ``target`` from trees sampled at ``depth``.
+    """Estimate the measure of ``target`` from fresh realizations.
 
-    Any depth at or below the determination level gives an unbiased estimate
-    of the same quantity because level laws are projection-consistent.
+    Draws only what the set reads: a set that reads ``D < 2**L`` linear
+    combinations of its level-``L`` vector (two for the symmetric difference
+    of two acted level-0 disks, at any ``L``) gets ``D`` standard complex
+    values per realization, mapped to the exact joint law of its reads; any
+    other set gets its level-``L`` vector and no level below it (see
+    :func:`_membership_sampler`).  ``depth`` is validated only: it must reach
+    the set's level, and a tree that deep must fit the sampler budget
+    (:func:`~whirly_lab.tree.check_sampler_budget`), but the draws do not
+    depend on it.
     """
     _check_common(depth, target.level, samples)
-
-    def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        levels = sample_levels(depth, count, gen)
-        return np.array([int(np.count_nonzero(target.indicator(levels)))], dtype=np.int64)
-
-    hits = int(tally_blocks(block, samples, rng, block_size=default_block_size(depth), workers=workers)[0])
-    low, high = wilson_interval(hits, samples, confidence)
-    return MeasureEstimate(
-        estimate=hits / samples,
-        ci_low=low,
-        ci_high=high,
-        samples=samples,
-        hits=hits,
-        seed=rng.master_seed,
-        confidence=confidence,
-        stream_id=rng.stream_id,
-    )
+    check_sampler_budget(depth, default_block_size(depth))
+    block_size, hits = _membership_sampler(target)
+    return _estimate(hits, block_size, samples, rng, workers, confidence)
 
 
 def estimate_conditional_measure(
@@ -342,25 +412,13 @@ def estimate_conditional_measure(
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> MeasureEstimate:
     """Estimate the conditional measure of ``target`` given an exact level
-    vector, using the exact conditional sampler."""
+    vector, using the exact conditional sampler to ``depth``."""
     _check_common(depth, max(target.level, given.level), samples)
 
-    def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        levels = conditional_levels(given.entries, given.level, depth, count, gen)
-        return np.array([int(np.count_nonzero(target.indicator(levels)))], dtype=np.int64)
+    def hits(gen: np.random.Generator, count: int) -> np.ndarray:
+        return target.indicator(conditional_levels(given.entries, given.level, depth, count, gen))
 
-    hits = int(tally_blocks(block, samples, rng, block_size=default_block_size(depth), workers=workers)[0])
-    low, high = wilson_interval(hits, samples, confidence)
-    return MeasureEstimate(
-        estimate=hits / samples,
-        ci_low=low,
-        ci_high=high,
-        samples=samples,
-        hits=hits,
-        seed=rng.master_seed,
-        confidence=confidence,
-        stream_id=rng.stream_id,
-    )
+    return _estimate(hits, default_block_size(depth), samples, rng, workers, confidence)
 
 
 def estimate_joint_events(

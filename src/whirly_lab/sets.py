@@ -20,12 +20,17 @@ in ``g . A`` iff acting with the conjugate (inverse) element puts it in ``A``.
 Evaluation multiplies the level-``max(g.level, A.level)`` vector by the
 conjugate phases and projects down to ``A``'s level; this agrees with acting
 on the full tree because phases are constant below their own level.
+
+:func:`linear_reads` walks an expression once and returns the linear
+combinations of its level vector that its leaves read, with an equivalent set
+over those reads; the measure estimator samples the reads instead of the level
+when they are fewer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -408,6 +413,116 @@ def symmetric_difference(a: BorelSet, b: BorelSet) -> BorelSet:
             boolean_combine("intersection", [b, boolean_combine("complement", [a])]),
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# linear reads
+# ---------------------------------------------------------------------------
+
+
+class LinearReads(NamedTuple):
+    """The linear reads a set makes of its level vector, and the set on them.
+
+    ``matrix`` has shape ``(D, 2**L)``, ``L`` the set's level.  A level-``L``
+    row vector ``x`` lies in the set exactly when its reads ``x @ matrix.T``,
+    padded with zero columns to ``2**reduced.level``, lie in ``reduced``.
+    """
+
+    matrix: np.ndarray
+    reduced: BorelSet
+
+
+def linear_reads(target: BorelSet, max_reads: int) -> LinearReads | None:
+    """The reads of ``target`` when it makes at most ``max_reads``, else ``None``.
+
+    One walk of the expression tree follows the affine map from the level-``L``
+    vector ``x`` to each leaf's input: acted images multiply by their
+    conjugate phases, children coarser than their parent project, and affine
+    images subtract their shift and divide by their scale.  Row ``i`` of the
+    map to a level-``l`` leaf reads only the ``2**(L - l)`` entries of ``x``
+    below path ``i``, so the linear part is kept as one coefficient per entry
+    of ``x``.  Each distinct linear part gets its own block of rows, once,
+    however many leaves read it; the walk stops as soon as the rows exceed
+    ``max_reads``, before any matrix is built.
+
+    The reduced set keeps the union, intersection and complement nodes and
+    drops the acted and affine ones.  Its leaves all live at the level
+    ``ceil(log2(D))`` and test only their own block of reads: a disk factor
+    has radius ``inf`` and a halfspace a zero normal outside it.  Shifts are
+    folded into the disk centers and halfspace offsets.  Returns ``None`` for
+    node types other than the grammar's.
+    """
+    top = target.level
+    # (leaf level, coefficient bytes) -> (first row, coefficients)
+    reads: dict[tuple[int, bytes], tuple[int, np.ndarray]] = {}
+    rows = 0
+
+    def walk(node: BorelSet, coef: np.ndarray, shift: np.ndarray):
+        # The input of ``node`` is ``shift`` plus, in row i, the coefficients
+        # coef.reshape(2**node.level, -1)[i] times the entries of x below path i.
+        nonlocal rows
+        if isinstance(node, (DiskProduct, Halfspace)):
+            key = (node.level, coef.tobytes())
+            if key not in reads:
+                reads[key] = (rows, coef)
+                rows += 1 << node.level
+                if rows > max_reads:
+                    return None
+            return ("leaf", node, reads[key][0], shift)
+        if isinstance(node, AffineImage):
+            return walk(node.base, coef / node.scale, (shift - node.shift) / node.scale)
+        if isinstance(node, ActedSet):
+            phases = node._conj_phases
+            coef = (coef.reshape(phases.size, -1) * phases[:, None]).reshape(-1)
+            return down(node.base, node.level, coef, shift * phases)
+        if isinstance(node, ComplementSet):
+            child = walk(node.child, coef, shift)
+            return None if child is None else ("complement", child)
+        if isinstance(node, (UnionSet, IntersectionSet)):
+            children = []
+            for c in node.children:
+                child = down(c, node.level, coef, shift)
+                if child is None:
+                    return None
+                children.append(child)
+            return (node.kind, children)
+        return None
+
+    def down(child: BorelSet, level: int, coef: np.ndarray, shift: np.ndarray):
+        k = level - child.level
+        if k:
+            coef = coef * 2.0 ** (-0.5 * k)
+            shift = project_vectors(shift[None, :], level, child.level)[0]
+        return walk(child, coef, shift)
+
+    plan = walk(target, np.ones(1 << top, dtype=np.complex128), np.zeros(1 << top, dtype=np.complex128))
+    if plan is None:
+        return None
+    level = (rows - 1).bit_length()
+
+    def build(spec) -> BorelSet:
+        if spec[0] == "leaf":
+            _, leaf, start, shift = spec
+            block = slice(start, start + shift.size)
+            if isinstance(leaf, DiskProduct):
+                centers = np.zeros(1 << level, dtype=np.complex128)
+                radii = np.full(1 << level, math.inf)
+                centers[block] = leaf.centers - shift
+                radii[block] = leaf.radii
+                return disk_product(level, centers, radii)
+            normal = np.zeros(1 << level, dtype=np.complex128)
+            normal[block] = leaf.normal
+            return halfspace(level, normal, leaf.offset - float(np.vdot(leaf.normal, shift).real))
+        if spec[0] == "complement":
+            return boolean_combine("complement", [build(spec[1])])
+        return boolean_combine(spec[0], [build(c) for c in spec[1]])
+
+    matrix = np.zeros((rows, 1 << top), dtype=np.complex128)
+    for (leaf_level, _), (start, coef) in reads.items():
+        n = 1 << leaf_level
+        rows_of = matrix[start : start + n].reshape(n, n, -1)
+        rows_of[np.arange(n), np.arange(n)] = coef.reshape(n, -1)
+    return LinearReads(matrix, build(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,9 @@ class TreeSample:
 MAX_SAMPLER_VALUES = 1 << 26
 
 
-def _check_budget(depth: int, count: int) -> None:
-    """Refuse, before any draw, a call whose levels would exceed the budget."""
+def check_sampler_budget(depth: int, count: int) -> None:
+    """Refuse, before any draw, ``count`` realizations to ``depth`` whose
+    levels would hold more than :data:`MAX_SAMPLER_VALUES` complex values."""
     values = count * ((2 << depth) - 1)
     if values > MAX_SAMPLER_VALUES:
         raise ValueError(
@@ -341,7 +342,7 @@ def sample_levels(
         raise ValueError("depth must be non-negative")
     if count <= 0:
         raise ValueError("count must be positive")
-    _check_budget(depth, count)
+    check_sampler_budget(depth, count)
     return _levels_from_leaves(standard_complex(as_generator(rng), (count, 1 << depth)))
 
 
@@ -363,7 +364,7 @@ def conditional_levels(
         raise DepthMismatchError(f"depth {depth} is above the conditioning level {level}")
     if count <= 0:
         raise ValueError("count must be positive")
-    _check_budget(depth, count)
+    check_sampler_budget(depth, count)
     gen = as_generator(rng)
     pinned = np.asarray(entries, dtype=np.complex128).reshape(1, -1)
     if pinned.size != 1 << level:

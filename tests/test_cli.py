@@ -201,11 +201,17 @@ class TestSuiteCommand:
         assert "PASS identities" in err
 
     def test_subset_output_is_deterministic(self, capsys):
-        args = ["suite", "--quick", "--criteria", "identities,whirly", "--seed", "17"]
+        args = ["suite", "--quick", "--criteria", "identities,whirly,continuity,estimator", "--seed", "17"]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
-        assert set(json.loads(out1)["criteria"]) == {"identities", "whirly"}
+        assert set(json.loads(out1)["criteria"]) == {"identities", "whirly", "continuity", "estimator"}
+
+    def test_suite_output_does_not_depend_on_workers(self, capsys):
+        args = ["suite", "--quick", "--criteria", "continuity"]
+        _, serial, _ = run_cli(capsys, *args, "--workers", "1")
+        _, sharded, _ = run_cli(capsys, *args, "--workers", "2")
+        assert serial == sharded
 
     def test_unknown_criterion_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")

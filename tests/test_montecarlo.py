@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whirly_lab.montecarlo as montecarlo_module
+import whirly_lab.tree as tree_module
 from whirly_lab import (
     DepthMismatchError,
     GroupElement,
@@ -14,7 +16,9 @@ from whirly_lab import (
     RngStream,
     acted_set,
     as_generator,
+    affine_image,
     boolean_combine,
+    compose,
     default_block_size,
     disk_mass,
     disk_product,
@@ -22,9 +26,14 @@ from whirly_lab import (
     estimate_joint_events,
     estimate_measure,
     event_indicators,
+    halfspace,
     identity,
+    linear_reads,
     make_gsk,
     random_element,
+    sample_levels,
+    standard_complex,
+    symmetric_difference,
     tally_blocks,
     wilson_interval,
 )
@@ -319,3 +328,109 @@ class TestInnovationPath:
             [acted_set(make_gsk(0.5, 0), d2), acted_set(make_gsk(0.5, 2), d2)], 3, 3000, RngStream(92)
         )
         assert b.counts == (2113, 247, 275, 365)
+
+
+def _level_estimate(target, samples: int, seed: int) -> tuple[float, float]:
+    """Hit fraction and standard error on full level vectors from
+    ``sample_levels``, the reference for the read path."""
+
+    def block(gen, count):
+        return np.array([np.count_nonzero(target.indicator(sample_levels(target.level, count, gen)))])
+
+    p = tally_blocks(block, samples, RngStream(seed), block_size=default_block_size(target.level))[0] / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+def _continuity_set():
+    gen = RngStream(93).generator()
+    g = random_element(6, gen)
+    h = compose(g, GroupElement(6, np.exp(1j * gen.uniform(-0.6, 0.6, size=64))))
+    disk = disk_product(0, 0j, 1.0)
+    return symmetric_difference(acted_set(g, disk), acted_set(h, disk))
+
+
+def _acted_halfspace():
+    gen = RngStream(94).generator()
+    return acted_set(random_element(3, gen), halfspace(1, [1.0 + 0.5j, -0.7j], 0.4))
+
+
+def _affine_in_intersection():
+    gen = RngStream(95).generator()
+    g = random_element(3, gen)
+    # h is g turned by about one radian, so the two reads are strongly
+    # correlated with a complex correlation, which a wrongly conjugated or
+    # transposed factor would change.
+    h = compose(g, GroupElement(3, np.exp(1j * gen.uniform(0.8, 1.2, size=8))))
+    moved = affine_image(acted_set(g, disk_product(0, 0.8 - 0.3j, 1.3)), 1.4, 0.5 + 0.6j)
+    plane = acted_set(h, halfspace(0, 1.0 - 1.0j, 0.3))
+    return boolean_combine("intersection", [moved, boolean_combine("complement", [plane])])
+
+
+class TestReadPath:
+    """Sets that read fewer values than their level holds are sampled
+    through the exact joint law of their reads."""
+
+    SAMPLES = 200_000
+
+    @pytest.mark.parametrize(
+        "make",
+        [_continuity_set, _acted_halfspace, _affine_in_intersection],
+        ids=["continuity", "acted-halfspace", "affine-in-intersection"],
+    )
+    def test_agrees_in_law_with_level_draws(self, make):
+        target = make()
+        assert linear_reads(target, 1 << target.level).matrix.shape[0] == 2
+        fast = estimate_measure(target, target.level, self.SAMPLES, RngStream(96))
+        p, se = _level_estimate(target, self.SAMPLES, 97)
+        assert 0.05 < p < 0.95
+        assert abs(fast.estimate - p) < 4.0 * math.hypot(fast.std_error, se)
+
+    @pytest.mark.parametrize("make", [_continuity_set, lambda: disk_product(1, 0j, 1.2)], ids=["reads", "level"])
+    def test_depth_and_workers_do_not_change_the_draws(self, make):
+        target = make()
+        base = estimate_measure(target, target.level, 30_000, RngStream(98))
+        deeper = estimate_measure(target, target.level + 3, 30_000, RngStream(98))
+        threaded = estimate_measure(target, target.level, 30_000, RngStream(98), workers=4)
+        assert base.to_json() == deeper.to_json() == threaded.to_json()
+
+    def test_draws_only_the_reads(self, monkeypatch):
+        shapes = []
+
+        def recording(gen, shape):
+            shapes.append(shape)
+            return standard_complex(gen, shape)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a level vector")
+
+        monkeypatch.setattr(montecarlo_module, "standard_complex", recording)
+        monkeypatch.setattr(montecarlo_module, "sample_levels", refuse)
+        estimate_measure(_continuity_set(), 6, 70_000, RngStream(99))
+        assert {shape[1] for shape in shapes} == {2}
+        assert sum(shape[0] for shape in shapes) == 70_000
+
+    def test_sets_that_read_their_whole_level_draw_only_that_level(self, monkeypatch):
+        depths = []
+
+        def recording(depth, count, gen):
+            depths.append(depth)
+            return sample_levels(depth, count, gen)
+
+        monkeypatch.setattr(montecarlo_module, "sample_levels", recording)
+        # The affine image reads all four level-2 values.
+        target = affine_image(disk_product(2, 0j, 1.5), 2.0, 0.3 + 0j)
+        estimate_measure(target, 5, 1000, RngStream(100))
+        assert set(depths) == {2}
+
+    def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
+        def no_draw(gen, shape):
+            raise AssertionError("drew before checking the budget")
+
+        disk = disk_product(0, 0j, 1.0)
+        # 64 trees to depth 19 hold just under 2**26 values; to depth 20, over.
+        deepest = estimate_measure(disk, 19, 1000, RngStream(101))
+        assert deepest.to_json() == estimate_measure(disk, 0, 1000, RngStream(101)).to_json()
+        monkeypatch.setattr(montecarlo_module, "standard_complex", no_draw)
+        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        with pytest.raises(ValueError, match="budget"):
+            estimate_measure(disk, 20, 1000, RngStream(101))

@@ -21,6 +21,7 @@ from whirly_lab import (
     disk_mass,
     disk_product,
     halfspace,
+    linear_reads,
     make_gsk,
     project,
     random_element,
@@ -257,3 +258,102 @@ class TestJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             set_from_json({"kind": "banana", "level": 0})
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _leaf(kind: str, level: int, seed: int):
+    gen = np.random.default_rng(seed)
+    n = 1 << level
+
+    def vec(scale: float) -> np.ndarray:
+        return scale * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+
+    if kind == "disk":
+        radii = np.where(gen.random(n) < 0.25, math.inf, gen.uniform(0.6, 2.5, n))
+        return disk_product(level, vec(0.6), radii)
+    return halfspace(level, vec(1.0), float(gen.normal()))
+
+
+def _wrap(kind: str, base, seed: int):
+    gen = np.random.default_rng(seed)
+    if kind == "acted":
+        return acted_set(random_element(int(gen.integers(0, 5)), gen), base)
+    n = 1 << base.level
+    shift = 0.5 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    return affine_image(base, float(gen.uniform(0.5, 2.0)), shift)
+
+
+def _combine(op: str):
+    return lambda operands: boolean_combine(op, operands)
+
+
+# Expressions over the whole grammar with levels up to 4.
+_EXPRESSIONS = st.recursive(
+    st.builds(_leaf, st.sampled_from(["disk", "halfspace"]), st.integers(0, 4), _SEEDS),
+    lambda children: st.one_of(
+        st.builds(_wrap, st.sampled_from(["acted", "affine"]), children, _SEEDS),
+        st.builds(_combine("union"), st.lists(children, min_size=1, max_size=3)),
+        st.builds(_combine("intersection"), st.lists(children, min_size=1, max_size=3)),
+        st.builds(lambda c: boolean_combine("complement", [c]), children),
+    ),
+    max_leaves=6,
+)
+
+
+def _padded_reads(reads, x: np.ndarray) -> np.ndarray:
+    y = x @ reads.matrix.T
+    return np.pad(y, ((0, 0), (0, (1 << reads.reduced.level) - y.shape[1])))
+
+
+def _kinds(node) -> set:
+    kids = list(getattr(node, "children", ()))
+    kids += [getattr(node, a) for a in ("child", "base") if hasattr(node, a)]
+    return {node.kind}.union(*(_kinds(k) for k in kids))
+
+
+class TestLinearReads:
+    @given(_EXPRESSIONS, _SEEDS)
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    def test_reduced_set_on_the_reads_is_the_set(self, target, seed):
+        reads = linear_reads(target, 1 << 12)
+        assert reads.matrix.shape[1] == 1 << target.level
+        assert not _kinds(reads.reduced) & {"acted-image", "affine-image"}
+        x = _draws(seed % 1000, 300, target.level)
+        np.testing.assert_array_equal(
+            reads.reduced.indicator_at(_padded_reads(reads, x)), target.indicator_at(x)
+        )
+
+    def test_each_distinct_read_appears_once(self):
+        gen = RngStream(70).generator()
+        disk = disk_product(0, 0j, 1.0)
+        g, h = random_element(6, gen), random_element(6, gen)
+        # Each acted disk appears twice in the symmetric difference.
+        moved = symmetric_difference(acted_set(g, disk), acted_set(h, disk))
+        reads = linear_reads(moved, 63)
+        assert reads.matrix.shape == (2, 64)
+        np.testing.assert_allclose(reads.matrix, np.stack([np.conj(g.phases), np.conj(h.phases)]) / 8.0)
+        assert reads.reduced.kind == "union" and reads.reduced.level == 1
+        # The same leaf through two maps is two reads; one map is one.
+        assert linear_reads(symmetric_difference(acted_set(g, disk), acted_set(g, disk)), 63).matrix.shape == (1, 64)
+
+    def test_stops_at_max_reads(self):
+        disk = disk_product(3, 0j, 1.0)
+        assert linear_reads(disk, 7) is None
+        assert linear_reads(disk, 8).matrix.shape == (8, 8)
+        wide = boolean_combine("union", [disk, acted_set(random_element(3, RngStream(71).generator()), disk)])
+        assert linear_reads(wide, 15) is None
+        assert linear_reads(wide, 16).matrix.shape == (16, 8)
+
+    def test_shift_is_folded_into_centers_and_offsets(self):
+        disk = affine_image(disk_product(0, 0.5 + 0j, 1.0), 2.0, 1.0 - 1j)
+        plane = affine_image(halfspace(0, 1.0 + 1j, 0.25), 0.5, 2.0 + 0j)
+        reduced = linear_reads(boolean_combine("intersection", [disk, plane]), 4).reduced
+        # The disk reads x/2 and holds x when |x/2 - (1 - 1j)/2 - 0.5| < 1.
+        first, second = reduced.children
+        assert first.centers[0] == pytest.approx(0.5 + (1.0 - 1j) / 2.0)
+        assert first.radii[1] == math.inf
+        # The halfspace reads 2x and holds x when Re((2x - 4) * (1 - 1j)) <= 0.25.
+        assert second.normal[0] == 0.0
+        assert second.offset == pytest.approx(0.25 + 4.0)
