@@ -39,6 +39,7 @@ from .sets import BorelSet, acted_set, affine_image, disk_mass, disk_product, sy
 from .tree import (
     MAX_SAMPLER_VALUES,
     LevelVector,
+    check_sampler_budget,
     project,
     sample_levels,
     sample_tree,
@@ -207,12 +208,15 @@ def verify_action_identity(
 
     where ``U`` collects the level-k aggregated innovations of ``t``.  The
     identity is algebraic, so the residual threshold is 1e-10, not
-    statistical.
+    statistical.  A ``k`` whose trees would not fit the sampler budget is
+    refused with a ``ValueError`` before anything is drawn or built.
     """
     if not 0 <= n <= k:
         raise ValueError("need 0 <= n <= k")
     if trials < 1:
         raise ValueError("trials must be positive")
+    # Each trial draws a depth-(k + 1) tree, and g holds 2**(k + 1) phases.
+    check_sampler_budget(k + 1, 1)
     started = time.perf_counter()
     gen = rng.generator()
     g = make_gsk(s, k)
@@ -537,11 +541,16 @@ def positivity_scan(
     clear of zero (threshold 0.99) plus the quantile structure of the
     translated measures: ``delta_at_f`` is the largest level ``d`` such that
     at least a fraction ``f`` of the scanned ``z`` satisfy ``measure >= d``.
+    A scan whose draw of all ``z``, or of the inner samples for one ``z``,
+    would not fit the sampler budget is refused with a ``ValueError`` before
+    anything is drawn.
     """
     if z_samples < 10:
         raise ValueError("need at least 10 z samples")
     if inner_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
+    # The scan draws all z, then inner_samples level vectors per z, in one call each.
+    check_sampler_budget(target.level, max(z_samples, inner_samples))
     started = time.perf_counter()
     n = target.level
 
@@ -607,8 +616,9 @@ def whirly_search(
     soon as one union clears ``1 - epsilon`` by three standard errors;
     exhausting ``max_depth`` is reported as a failure, not an exception.  A
     ``max_depth`` whose elements would hold more than
-    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases is refused with a
-    ``ValueError`` before anything is drawn or built.
+    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or a constants phase
+    whose draws would not fit that budget, is refused with a ``ValueError``
+    before anything is drawn or built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -625,6 +635,7 @@ def whirly_search(
         )
     if z_samples < 10 or inner_samples < MIN_SAMPLES:
         raise ValueError("constants phase needs z_samples >= 10 and inner_samples >= 100")
+    check_sampler_budget(target.level, max(z_samples, inner_samples))
     started = time.perf_counter()
     n0 = target.level
 
@@ -727,7 +738,9 @@ def sharpness_check(
     ``5/sqrt(dims)`` on the sample mean) and ``(x - b*y)/a`` at
     ``sqrt(1 + b**2)/|a|`` (tolerance 0.01).  The second value equals 1, the
     RMS of a standard vector, exactly when ``a**2 == b**2 + 1``; the report's
-    ``criterion_gap`` records ``|a**2 - b**2 - 1|``.
+    ``criterion_gap`` records ``|a**2 - b**2 - 1|``.  ``samples * dims``
+    above :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` is refused with a
+    ``ValueError`` before anything is drawn.
     """
     if a == 0.0:
         raise ValueError("a must be nonzero")
@@ -735,6 +748,12 @@ def sharpness_check(
         raise ValueError("dims must be at least 1000")
     if samples < 10:
         raise ValueError("need at least 10 repetitions")
+    # x and y hold as many bytes as samples * dims complex values.
+    if samples * dims > MAX_SAMPLER_VALUES:
+        raise ValueError(
+            f"{samples} samples of {dims} dimensions hold {2 * samples * dims} normals, "
+            f"above the sampler budget of {MAX_SAMPLER_VALUES} complex values"
+        )
     started = time.perf_counter()
     gen = rng.generator()
     x = gen.standard_normal((samples, dims))

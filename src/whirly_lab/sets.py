@@ -40,7 +40,6 @@ from .tree import (
     DepthMismatchError,
     LevelMismatchError,
     LevelVector,
-    TreeSample,
     project_vectors,
 )
 
@@ -66,10 +65,6 @@ class BorelSet:
 
     @property
     def level(self) -> int:
-        return self._level
-
-    @property
-    def determination_level(self) -> int:
         return self._level
 
     # -- evaluation ---------------------------------------------------------
@@ -107,13 +102,6 @@ class BorelSet:
     def contains(self, z: LevelVector) -> bool:
         """Membership of a single level vector (level >= the set's level)."""
         return bool(self.indicator_at(z.entries[None, :], z.level)[0])
-
-    def contains_tree(self, tree: TreeSample) -> bool:
-        if tree.depth < self._level:
-            raise DepthMismatchError(
-                f"tree depth {tree.depth} below determination level {self._level}"
-            )
-        return bool(self.indicator_at(tree.level(self._level)[None, :])[0])
 
     def _eval_child(self, child: "BorelSet", x: np.ndarray) -> np.ndarray:
         """Evaluate a child node on vectors given at this node's level."""
@@ -156,7 +144,13 @@ class DiskProduct(BorelSet):
         self.radii = radii
 
     def _member(self, x: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(x - self.centers) < self.radii, axis=1)
+        # AND sibling columns pairwise: each step is one long loop over the
+        # batch, where a reduction along the 2**level-wide rows runs one short
+        # loop per row.
+        inside = np.abs(x - self.centers) < self.radii
+        while inside.shape[1] > 1:
+            inside = inside[:, 0::2] & inside[:, 1::2]
+        return inside[:, 0]
 
     def to_json(self) -> dict:
         return {
@@ -221,38 +215,21 @@ class AffineImage(BorelSet):
 # ---------------------------------------------------------------------------
 
 
-class UnionSet(BorelSet):
-    __slots__ = ("children",)
+class BooleanSet(BorelSet):
+    """Union or intersection of any number of sets, by its ``kind``."""
 
-    kind = "union"
+    __slots__ = ("kind", "children", "_combine")
 
-    def __init__(self, children: tuple[BorelSet, ...]) -> None:
+    def __init__(self, kind: str, children: tuple[BorelSet, ...]) -> None:
         super().__init__(max(c.level for c in children))
+        self.kind = kind
         self.children = children
+        self._combine = np.logical_or if kind == "union" else np.logical_and
 
     def _member(self, x: np.ndarray) -> np.ndarray:
         out = self._eval_child(self.children[0], x)
         for child in self.children[1:]:
-            out = out | self._eval_child(child, x)
-        return out
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
-
-
-class IntersectionSet(BorelSet):
-    __slots__ = ("children",)
-
-    kind = "intersection"
-
-    def __init__(self, children: tuple[BorelSet, ...]) -> None:
-        super().__init__(max(c.level for c in children))
-        self.children = children
-
-    def _member(self, x: np.ndarray) -> np.ndarray:
-        out = self._eval_child(self.children[0], x)
-        for child in self.children[1:]:
-            out = out & self._eval_child(child, x)
+            out = self._combine(out, self._eval_child(child, x))
         return out
 
     def to_json(self) -> dict:
@@ -388,10 +365,8 @@ def boolean_combine(op: str, operands: Sequence[BorelSet]) -> BorelSet:
     ops = tuple(operands)
     if not ops:
         raise ValueError("boolean_combine needs at least one operand")
-    if op == "union":
-        return UnionSet(ops)
-    if op == "intersection":
-        return IntersectionSet(ops)
+    if op in ("union", "intersection"):
+        return BooleanSet(op, ops)
     if op == "complement":
         if len(ops) != 1:
             raise ValueError("complement takes exactly one operand")
@@ -478,7 +453,7 @@ def linear_reads(target: BorelSet, max_reads: int) -> LinearReads | None:
         if isinstance(node, ComplementSet):
             child = walk(node.child, coef, shift)
             return None if child is None else ("complement", child)
-        if isinstance(node, (UnionSet, IntersectionSet)):
+        if isinstance(node, BooleanSet):
             children = []
             for c in node.children:
                 child = down(c, node.level, coef, shift)

@@ -304,8 +304,9 @@ def refine(parent: np.ndarray, innovation: np.ndarray) -> np.ndarray:
     values ``(z + u)/sqrt(2)`` and ``(z - u)/sqrt(2)``.
     """
     child = np.empty(parent.shape[:-1] + (parent.shape[-1] * 2,), dtype=np.complex128)
-    child[..., 0::2] = (parent + innovation) / SQRT2
-    child[..., 1::2] = (parent - innovation) / SQRT2
+    np.add(parent, innovation, out=child[..., 0::2])
+    np.subtract(parent, innovation, out=child[..., 1::2])
+    child /= SQRT2
     return child
 
 
@@ -401,17 +402,28 @@ def project_vectors(x: np.ndarray, from_level: int, to_level: int) -> np.ndarray
     tree recursion: each coarse value is ``2**(-k/2)`` times the sum of its
     ``2**k`` descendants, ``k = from_level - to_level``.  Shape
     ``(batch, 2**from_level) -> (batch, 2**to_level)``.
+
+    Summation order: ``k`` folds of sibling pairs, each
+    ``x[:, 0::2] + x[:, 1::2]`` over the whole batch, then one multiplication
+    by ``2**(-k/2)``, so the ``2**k`` descendants are added as a balanced
+    binary tree, not left to right.  For ``k = 1`` the result is exact to the
+    operation: ``(x[2i] + x[2i+1]) * 2**-0.5`` with one rounding for each of
+    the two steps, the same as any other order.
     """
     if to_level > from_level:
         raise LevelMismatchError("cannot project to a finer level")
     if to_level < 0:
         raise ValueError("to_level must be non-negative")
+    if x.shape[1] != 1 << from_level:
+        raise LevelMismatchError(
+            f"expected {1 << from_level} columns for level {from_level}, got {x.shape[1]}"
+        )
     k = from_level - to_level
     if k == 0:
         return x
-    batch = x.shape[0]
-    folded = x.reshape(batch, 1 << to_level, 1 << k).sum(axis=2)
-    return folded * (2.0 ** (-0.5 * k))
+    for _ in range(k):
+        x = x[:, 0::2] + x[:, 1::2]
+    return x * (2.0 ** (-0.5 * k))
 
 
 def project(tree: TreeSample, n: int) -> LevelVector:
@@ -433,12 +445,7 @@ def u_stat_arrays(levels: Sequence[np.ndarray], n: int, k: int) -> np.ndarray:
     if len(levels) <= k + 1:
         raise DepthMismatchError(f"innovations at level {k} need level {k + 1} values")
     child = levels[k + 1]
-    innovation = (child[:, 0::2] - child[:, 1::2]) / SQRT2
-    if k == n:
-        return innovation
-    batch = innovation.shape[0]
-    folded = innovation.reshape(batch, 1 << n, -1).sum(axis=2)
-    return folded * (2.0 ** (-0.5 * (k - n)))
+    return project_vectors((child[:, 0::2] - child[:, 1::2]) / SQRT2, k, n)
 
 
 def u_stat_vector(tree: TreeSample, n: int, k: int) -> np.ndarray:

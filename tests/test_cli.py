@@ -7,6 +7,7 @@ import pytest
 import whirly_lab.experiments as experiments_module
 import whirly_lab.tree as tree_module
 from whirly_lab.cli import main, parse_set_spec
+from whirly_lab.rng import RngStream
 from whirly_lab.sets import DiskProduct
 
 
@@ -170,6 +171,27 @@ class TestVerifyCommands:
         assert out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["positivity-scan", "--inner-samples", "400000000"],
+            ["whirly-search", "--inner-samples", "400000000"],
+            ["sharpness", "--dims", "100000", "--samples", "100000"],
+            ["verify-action-identity", "--k", "30"],
+        ],
+    )
+    def test_oversized_draws_exit_two_before_allocating(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or built before checking the budget")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        monkeypatch.setattr(RngStream, "block", refuse)
+        monkeypatch.setattr(experiments_module, "make_gsk", refuse)
+        code, out, err = run_cli(capsys, *argv, "--seed", "9")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -208,7 +230,7 @@ class TestSuiteCommand:
         assert set(json.loads(out1)["criteria"]) == {"identities", "whirly", "continuity", "estimator"}
 
     def test_suite_output_does_not_depend_on_workers(self, capsys):
-        args = ["suite", "--quick", "--criteria", "continuity"]
+        args = ["suite", "--quick", "--criteria", "continuity,independence,convolution"]
         _, serial, _ = run_cli(capsys, *args, "--workers", "1")
         _, sharded, _ = run_cli(capsys, *args, "--workers", "2")
         assert serial == sharded

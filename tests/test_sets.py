@@ -63,6 +63,36 @@ class TestDiskProduct:
         d = disk_product(2, 0.5j, 1.0)
         np.testing.assert_array_equal(d.centers, np.full(4, 0.5j))
 
+    @pytest.mark.parametrize("level", range(8))
+    def test_membership_equals_row_reduction(self, level):
+        width = 1 << level
+        gen = RngStream(61).generator()
+        # Dyadic centers and radii make the points placed on a circle exact.
+        centers = (gen.integers(-8, 9, width) + 1j * gen.integers(-8, 9, width)) / 8
+        # Each factor holds 0.5**(1/width) of the mass, so about half the rows are in.
+        radius = math.ceil(8.0 * math.sqrt(-2.0 * math.log1p(-(0.5 ** (1.0 / width))))) / 8.0
+        radii = np.full(width, radius)
+        radii[1::3] = math.inf
+        finite = np.where(np.isinf(radii), 0.0, radii)
+        # The [..., 0] view standard_complex returns, as the samplers pass it.
+        x = _draws(62 + level, 3000, level)
+        assert not x.flags.owndata
+        x += centers
+        x[0] = centers + finite
+        x[1] = centers + 1j * finite
+        x[2] = centers
+        x[2, 0] += radii[0]
+        x[3] = centers
+        x[4] = centers
+        x[4, -1] = complex(math.nan, 0.0)
+        x[5] = math.nan
+        expected = np.all(np.abs(x - centers) < radii, axis=1)
+        disk = disk_product(level, centers, radii)
+        np.testing.assert_array_equal(disk.indicator_at(x), expected)
+        np.testing.assert_array_equal(disk.indicator_at(x[::2]), expected[::2])
+        assert not expected[:3].any() and expected[3] and not expected[4:6].any()
+        assert 0 < expected[6:].sum() < expected[6:].size
+
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             disk_product(0, 0j, -1.0)
@@ -168,7 +198,7 @@ class TestActedSet:
         for _ in range(50):
             tree = sample_tree(3, gen)
             pulled = project(act(conjugate(g), tree), d.level)
-            assert moved.contains_tree(tree) == d.contains(pulled)
+            assert moved.indicator_at(tree.level(moved.level))[0] == d.contains(pulled)
 
     def test_inverse_action_roundtrips(self):
         gen = RngStream(59).generator()

@@ -145,10 +145,33 @@ class TestProjection:
         direct = project_vectors(x, 4, 1)
         np.testing.assert_allclose(via, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_fold_matches_reshape_sum(self, k):
+        x = standard_complex(RngStream(12).generator(), (500, 4 << k))
+        scale = 2.0 ** (-0.5 * k)
+        reference = x.reshape(500, 4, 1 << k).sum(axis=2) * scale
+        folded = project_vectors(x, k + 2, 2)
+        if k == 1:
+            np.testing.assert_array_equal(folded, reference)
+        else:
+            # Summation order differs: bound the gap by the size of the terms.
+            terms = np.abs(x).reshape(500, 4, 1 << k).sum(axis=2) * scale
+            assert np.all(np.abs(folded - reference) <= 1e-15 * terms)
+
+    def test_refine_is_the_closed_form(self):
+        gen = RngStream(13).generator()
+        parent = standard_complex(gen, (300, 8))
+        innovation = standard_complex(gen, (300, 8))
+        child = tree_module.refine(parent, innovation)
+        np.testing.assert_array_equal(child[:, 0::2], (parent + innovation) / SQRT2)
+        np.testing.assert_array_equal(child[:, 1::2], (parent - innovation) / SQRT2)
+
     def test_projecting_finer_is_an_error(self):
         x = np.ones((2, 2), dtype=complex)
         with pytest.raises(LevelMismatchError):
             project_vectors(x, 1, 2)
+        with pytest.raises(LevelMismatchError):
+            project_vectors(np.ones((2, 6), dtype=complex), 3, 1)
         tree = sample_tree(2, RngStream(8))
         with pytest.raises(DepthMismatchError):
             project(tree, 3)
