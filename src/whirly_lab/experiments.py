@@ -39,6 +39,7 @@ from .sets import BorelSet, acted_set, affine_image, disk_mass, disk_product, sy
 from .tree import (
     MAX_SAMPLER_VALUES,
     LevelVector,
+    _div_real,
     check_sampler_budget,
     project,
     sample_levels,
@@ -372,7 +373,7 @@ def verify_convolution(
     def fubini_block(gen: np.random.Generator, count: int) -> np.ndarray:
         x = standard_complex(gen, (count, width))
         y = standard_complex(gen, (count, width))
-        hits = target.indicator_at((x - a * y) / scale)
+        hits = target.indicator_at(_div_real(x - a * y, scale))
         return np.array([int(np.count_nonzero(hits))], dtype=np.int64)
 
     fubini_hits = int(
@@ -512,18 +513,28 @@ def _translated_hits(
 ) -> np.ndarray:
     """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each.
 
-    The ``z`` are standard level vectors drawn from ``rng.child(1)``; scan
-    ``j`` draws its level vectors from block ``j`` of ``rng.child(2)`` and
-    hits when ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.
+    The ``z`` are standard level vectors drawn from ``rng.child(1)``.  They
+    are scanned in blocks of ``per_block = max(1, default_block_size(L) //
+    inner_samples)`` consecutive ``z``, ``L`` the set's level, so a block holds
+    at most ``2**16`` level values unless one ``z``'s samples alone exceed
+    that, and then it holds one ``z``.  Block ``i`` draws one array of shape
+    ``(count, inner_samples, 2**L)`` from block ``i`` of ``rng.child(2)``;
+    ``z`` number ``j`` takes row ``j - i*per_block`` of it, ``inner_samples``
+    fresh standard level vectors ``w``, and hits when
+    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, width))
     inner_stream = rng.child(2)
+    per_block = max(1, default_block_size(target.level) // inner_samples)
     hits = np.empty(z_samples, dtype=np.int64)
-    for j in range(z_samples):
-        w = standard_complex(inner_stream.block(j), (inner_samples, width))
-        hits[j] = np.count_nonzero(target.indicator_at((w - a * zs[j]) / scale))
+    for index, count in block_plan(z_samples, per_block):
+        rows = slice(index * per_block, index * per_block + count)
+        w = standard_complex(inner_stream.block(index), (count, inner_samples, width))
+        w -= a * zs[rows, None, :]
+        inside = target.indicator_at(_div_real(w, scale).reshape(count * inner_samples, width))
+        hits[rows] = np.count_nonzero(inside.reshape(count, inner_samples), axis=1)
     return hits
 
 
@@ -541,7 +552,9 @@ def positivity_scan(
     clear of zero (threshold 0.99) plus the quantile structure of the
     translated measures: ``delta_at_f`` is the largest level ``d`` such that
     at least a fraction ``f`` of the scanned ``z`` satisfy ``measure >= d``.
-    A scan whose draw of all ``z``, or of the inner samples for one ``z``,
+    Consecutive ``z`` share one draw of their inner samples, from the block
+    of ``rng.child(2)`` that holds them (see :func:`_translated_hits`).  A
+    scan whose draw of all ``z``, or of the inner samples for one ``z``,
     would not fit the sampler budget is refused with a ``ValueError`` before
     anything is drawn.
     """
@@ -549,7 +562,9 @@ def positivity_scan(
         raise ValueError("need at least 10 z samples")
     if inner_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
-    # The scan draws all z, then inner_samples level vectors per z, in one call each.
+    # The scan draws all z in one call, then blocks of whole z: at most
+    # max(default_block_size(level), inner_samples) level vectors per call.
+    # The first bound is checked by estimate_measure below.
     check_sampler_budget(target.level, max(z_samples, inner_samples))
     started = time.perf_counter()
     n = target.level
@@ -604,7 +619,9 @@ def whirly_search(
     Constants phase: with ``a = -1/epsilon``, scan random level vectors ``z``
     and find the largest ``delta`` such that the translated measure
     ``sqrt(1+a**2)*K + a*z`` exceeds ``delta`` for more than a
-    ``sqrt(1-epsilon/2)`` fraction of ``z``; from ``delta`` derive the union
+    ``sqrt(1-epsilon/2)`` fraction of ``z``, each ``z`` measured on
+    ``inner_samples`` level vectors from the block of ``rng.child(2)`` that
+    holds it (see :func:`_translated_hits`); from ``delta`` derive the union
     length ``m`` that the constants guarantee.  Search phase: for each base
     level ``n`` up to ``max_depth``, estimate the measures of the unions of
     the first ``m`` whirled copies ``g(epsilon, k) . K`` for ``k = n ..

@@ -40,6 +40,7 @@ from .tree import (
     DepthMismatchError,
     LevelMismatchError,
     LevelVector,
+    _div_real,
     project_vectors,
 )
 
@@ -199,7 +200,7 @@ class AffineImage(BorelSet):
         self.shift = shift
 
     def _member(self, x: np.ndarray) -> np.ndarray:
-        return self.base._member((x - self.shift) / self.scale)
+        return self.base._member(_div_real(x - self.shift, self.scale))
 
     def to_json(self) -> dict:
         return {

@@ -297,6 +297,21 @@ def check_sampler_budget(depth: int, count: int) -> None:
         )
 
 
+def _div_real(x: np.ndarray, s: float) -> np.ndarray:
+    """``x / s`` for a freshly computed complex128 array ``x`` and a real
+    ``s``, in place; returns ``x``.
+
+    NumPy divides complex by real with Smith's complex division, which for a
+    real divisor computes exactly ``x.real * (1/s)`` and ``x.imag * (1/s)``.
+    Scaling the float64 view of ``x`` by the reciprocal gives the same bits
+    without the complex loop.  True division of the view (``/= s``) rounds
+    differently.  ``x`` must be C-contiguous and owned by the caller.
+    """
+    view = x.view(np.float64)
+    view *= 1.0 / s
+    return x
+
+
 def refine(parent: np.ndarray, innovation: np.ndarray) -> np.ndarray:
     """One level of the innovation recursion along the last axis.
 
@@ -306,14 +321,13 @@ def refine(parent: np.ndarray, innovation: np.ndarray) -> np.ndarray:
     child = np.empty(parent.shape[:-1] + (parent.shape[-1] * 2,), dtype=np.complex128)
     np.add(parent, innovation, out=child[..., 0::2])
     np.subtract(parent, innovation, out=child[..., 1::2])
-    child /= SQRT2
-    return child
+    return _div_real(child, SQRT2)
 
 
 def _coarsen(child: np.ndarray) -> np.ndarray:
     """One level of averaging along the last axis, the inverse of :func:`refine`:
     node ``i`` of the result is ``(child[2i] + child[2i + 1])/sqrt(2)``."""
-    return (child[..., 0::2] + child[..., 1::2]) / SQRT2
+    return _div_real(child[..., 0::2] + child[..., 1::2], SQRT2)
 
 
 def _levels_from_leaves(leaves: np.ndarray) -> list[np.ndarray]:

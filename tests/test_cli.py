@@ -223,11 +223,15 @@ class TestSuiteCommand:
         assert "PASS identities" in err
 
     def test_subset_output_is_deterministic(self, capsys):
-        args = ["suite", "--quick", "--criteria", "identities,whirly,continuity,estimator", "--seed", "17"]
+        args = [
+            "suite", "--quick", "--criteria", "identities,whirly,continuity,estimator,positivity", "--seed", "17"
+        ]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
-        assert set(json.loads(out1)["criteria"]) == {"identities", "whirly", "continuity", "estimator"}
+        assert set(json.loads(out1)["criteria"]) == {
+            "identities", "whirly", "continuity", "estimator", "positivity"
+        }
 
     def test_suite_output_does_not_depend_on_workers(self, capsys):
         args = ["suite", "--quick", "--criteria", "continuity,independence,convolution"]

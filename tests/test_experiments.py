@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import whirly_lab.experiments as experiments_module
 from whirly_lab import (
     ExperimentReport,
     LevelVector,
     RngStream,
+    default_block_size,
+    disk_mass,
     disk_product,
     identity,
     make_gsk,
@@ -185,6 +188,70 @@ class TestPositivity:
         point = disk_product(0, 10.0 + 0j, 0.01)
         with pytest.raises(ValueError):
             positivity_scan(point, -2.0, 20, 2000, RngStream(120))
+
+
+class TestTranslatedScan:
+    """The blocked fiber scan behind ``positivity_scan`` and ``whirly_search``.
+
+    40 z of 2000 inner samples fill blocks of 32 and 8 z at level 0, and of
+    16, 16 and 8 z at level 1, so every test reaches a partial last block.
+    """
+
+    Z_SAMPLES = 40
+    INNER = 2000
+    # Two sets of 40 z: 80 comparisons.  A two-sided 4.5-sigma limit on each
+    # keeps the family-wise false-alarm rate under 80 * 6.8e-6 = 5.4e-4.
+    SIGMA = 4.5
+
+    def _sigmas(self, centers, radius, a, seed):
+        """Per-z deviation of the hit fraction from the closed form
+        ``prod disk_mass(s*r, |a*z + s*c|)``, ``s = sqrt(1 + a**2)``, in
+        binomial standard errors."""
+        level = (len(centers) - 1).bit_length()
+        target = disk_product(level, np.asarray(centers), radius)
+        rng = RngStream(seed)
+        hits = experiments_module._translated_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+        zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
+        s = math.sqrt(1.0 + a * a)
+        p = np.array(
+            [math.prod(disk_mass(s * radius, abs(a * zi + s * c)) for zi, c in zip(z, centers)) for z in zs]
+        )
+        return (hits / self.INNER - p) / np.sqrt(p * (1.0 - p) / self.INNER)
+
+    def test_level_0_hits_follow_the_closed_form(self):
+        # An off-center disk, so a flipped translation sign changes the law.
+        sigmas = self._sigmas([0.6 - 0.4j], 1.5, -1.0, 130)
+        assert np.max(np.abs(sigmas)) < self.SIGMA
+
+    def test_level_1_hits_follow_the_closed_form(self):
+        sigmas = self._sigmas([0.7 + 0.2j, -0.5 - 0.6j], 1.8, -0.8, 131)
+        assert np.max(np.abs(sigmas)) < self.SIGMA
+
+    def test_blocks_draw_whole_z_within_the_cache_budget(self, monkeypatch):
+        shapes = []
+
+        def recording(gen, shape):
+            shapes.append(tuple(shape))
+            return standard_complex(gen, shape)
+
+        monkeypatch.setattr(experiments_module, "standard_complex", recording)
+        cases = [
+            (0, 40, 2000, [32, 8]),
+            (1, 40, 2000, [16, 16, 8]),
+            # One z alone exceeds 2**16 values: a block per z.
+            (0, 10, 70_000, [1] * 10),
+        ]
+        for level, z_samples, inner, counts in cases:
+            shapes.clear()
+            width = 1 << level
+            target = disk_product(level, 0j, 1.0)
+            experiments_module._translated_hits(target, -1.0, z_samples, inner, RngStream(132))
+            per_block = max(1, default_block_size(level) // inner)
+            assert shapes[0] == (z_samples, width)
+            blocks = shapes[1:]
+            assert len(blocks) == math.ceil(z_samples / per_block)
+            assert blocks == [(count, inner, width) for count in counts]
+            assert all(math.prod(b) <= max(1 << 16, inner * width) for b in blocks)
 
 
 class TestWhirlySearch:

@@ -31,6 +31,7 @@ from whirly_lab import (
     standard_complex,
     symmetric_difference,
 )
+from whirly_lab.sets import AffineImage, BorelSet
 
 
 def _draws(seed: int, count: int, level: int) -> np.ndarray:
@@ -145,6 +146,26 @@ class TestAffine:
         flat = affine_image(base, a1 * a2, a2 * b1 + b2 + 0j)
         x = _draws(54, 500, 0)
         np.testing.assert_array_equal(nested.indicator_at(x), flat.indicator_at(x))
+
+    def test_base_sees_numpy_complex_division(self):
+        # The base must receive exactly (x - shift)/scale as NumPy's complex /
+        # real computes it, at magnitudes from subnormal to 1e300; a true
+        # division of the float64 view rounds differently (checked below).
+        seen = []
+
+        class Recorder(BorelSet):
+            def _member(self, x):
+                seen.append(x.copy())
+                return np.ones(len(x), dtype=bool)
+
+        gen = RngStream(56).generator()
+        x = standard_complex(gen, (400, 4)) * 10.0 ** gen.uniform(-312.0, 300.0, (400, 4))
+        shift = np.array([0.3 - 1j, 2.5e-310, -7.0e299 + 1j, 1.0])
+        scale = math.sqrt(3.0)
+        AffineImage(Recorder(2), scale, shift).indicator_at(x)
+        expected = (x - shift) / scale
+        assert not np.array_equal(((x - shift).view(np.float64) / scale).view(np.complex128), expected)
+        assert np.array_equal(seen[0], expected)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

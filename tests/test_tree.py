@@ -166,6 +166,27 @@ class TestProjection:
         np.testing.assert_array_equal(child[:, 0::2], (parent + innovation) / SQRT2)
         np.testing.assert_array_equal(child[:, 1::2], (parent - innovation) / SQRT2)
 
+    def test_real_divisor_scaling_matches_complex_division(self):
+        # Magnitudes from subnormal to 1e300: refine and _coarsen must give the
+        # bits of NumPy's complex / real, which a true division of the float64
+        # view does not (checked below, so the test keeps its teeth).
+        gen = RngStream(15).generator()
+
+        def wide(shape):
+            return standard_complex(gen, shape) * 10.0 ** gen.uniform(-312.0, 300.0, shape)
+
+        parent = wide((300, 8))
+        innovation = wide((300, 8))
+        pairs = np.empty((300, 16), dtype=np.complex128)
+        pairs[:, 0::2] = parent + innovation
+        pairs[:, 1::2] = parent - innovation
+        expected = pairs / SQRT2
+        assert not np.array_equal((pairs.view(np.float64) / SQRT2).view(np.complex128), expected)
+
+        assert np.array_equal(tree_module.refine(parent, innovation), expected)
+        assert np.array_equal(tree_module._coarsen(pairs), (pairs[:, 0::2] + pairs[:, 1::2]) / SQRT2)
+        assert np.array_equal(tree_module._coarsen(pairs[0]), (pairs[0, 0::2] + pairs[0, 1::2]) / SQRT2)
+
     def test_projecting_finer_is_an_error(self):
         x = np.ones((2, 2), dtype=complex)
         with pytest.raises(LevelMismatchError):
