@@ -628,7 +628,8 @@ def whirly_search(
     n+m-1`` (all prefixes share one sample set, so the reported union curve is
     exactly monotone), capped so the deepest element fits in ``max_depth``.
     Whirling elements are sampled in innovation coordinates, ``m + 1`` level
-    vectors per sample, and other elements on full trees (see
+    vectors per sample, and other elements through their reads or the
+    deepest level they need (see
     :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes as
     soon as one union clears ``1 - epsilon`` by three standard errors;
     exhausting ``max_depth`` is reported as a failure, not an exception.  A
@@ -688,8 +689,7 @@ def whirly_search(
         if m_cap < 1:
             continue
         events = [acted_set(element_factory(epsilon, k), target) for k in range(n, n + m_cap)]
-        depth = max([n0] + [e.level for e in events])
-        block_size, indicators = event_indicators(events, depth)
+        block_size, indicators = event_indicators(events)
 
         def union_block(gen: np.random.Generator, count: int) -> np.ndarray:
             stacked = indicators(gen, count)

@@ -4,28 +4,24 @@ Estimators draw realizations of the tree process (unconditional or pinned at a
 level), evaluate set membership, and report the hit fraction with a Wilson
 score confidence interval.
 
-:func:`estimate_measure` draws only what its set reads: the exact joint law
-of the ``D`` linear reads the set makes of its level-``L`` vector when
-``D < 2**L`` (see :func:`_membership_sampler`), and otherwise that level
-alone, never the levels below it; its ``depth`` is validated, not sampled.
-
-Families of whirled events are sampled in innovation coordinates when their
-structure allows it (see :func:`event_indicators`): each event then reads the
-level-``N`` values and one level of aggregated innovations, so a sample costs
-``(m + 1) * 2**N`` draws for ``m`` distinct bits instead of a full tree.
-Every other family, and the conditional estimator, is evaluated on full
-trees, which stay the reference sampler.
+Every estimate draws through one block sampler, :func:`event_indicators`,
+which draws only what a family of events reads and chooses how from the
+family alone: whirled events in innovation coordinates, ``(m + 1) * 2**N``
+draws per sample for ``m`` distinct bits; other unconditional families
+through the exact joint law of their ``D`` stacked linear reads when
+``D < 2**L``; and otherwise the deepest level the family needs, never a level
+below it.  An estimator's ``depth`` is validated, not sampled.
 
 Sharding rule: the requested sample count is pre-partitioned into fixed-size
 blocks by index (:func:`block_plan`), and block ``i`` always draws from the
 stream's child key ``(stream_id, i)``.  Workers only decide which blocks they
 execute, and block hit counts are integers summed commutatively, so the result
 is bit-identical for any worker count.  The block size is a function of the
-problem, never of run-time conditions: of the sampling depth for full trees,
-of the level a set's draws fill (its own, or that of its padded reads), and
-of the deepest level the draws reach in innovation coordinates.  It is also
-never read from the machine (its cache sizes, its core count), because the
-block plan decides which draws each sample gets.
+problem, never of run-time conditions: of the level the draws fill (the
+family's deepest level, that of its padded reads, or level ``N + 1`` in
+innovation coordinates).  It is also never read from the machine (its cache
+sizes, its core count), because the block plan decides which draws each
+sample gets.
 """
 
 from __future__ import annotations
@@ -250,24 +246,38 @@ def _innovation_copies(
 
 
 def event_indicators(
-    events: Sequence[BorelSet], depth: int, *, given: LevelVector | None = None
+    events: Sequence[BorelSet], *, given: LevelVector | None = None
 ) -> tuple[int, Callable[[np.random.Generator, int], np.ndarray]]:
     """Block size and block sampler for the indicators of a family of events.
 
     The sampler maps ``(gen, count)`` to a boolean array of shape
     ``(len(events), count)`` whose row ``j`` tells which of ``count`` fresh
     realizations lie in event ``j``; with ``given`` the realizations come from
-    the exact conditional law pinned at that level vector.
+    the exact conditional law pinned at that level vector.  The draws depend
+    on the family and ``given`` alone, through the first path that applies:
 
-    When every event is ``g . K`` with ``g`` at level ``k + 1`` reading only
-    its last bit and ``k >= N``, ``N`` the finest base or conditioning level
-    (whirling elements, identity elements, any level-1 element), the
-    sampler draws ``x_N``, then for each distinct ``k`` in increasing order
-    one fresh standard ``U`` of shape ``(count, 2**N)``, shared by the events
-    with that ``k``.  This is the joint law of ``x_N`` and the aggregated
-    innovations ``U_k``, which are independent of ``x_N`` and of each other.
-    Only one ``U`` is held at a time, and blocks are sized for level
-    ``N + 1``.  Any other family is evaluated on full trees to ``depth``.
+    1. Innovation coordinates.  When every event is ``g . K`` with ``g`` at
+       level ``k + 1`` reading only its last bit and ``k >= N``, ``N`` the
+       finest base or conditioning level (whirling elements, identity
+       elements, any level-1 element), the sampler draws ``x_N``, then for
+       each distinct ``k`` in increasing order one fresh standard ``U`` of
+       shape ``(count, 2**N)``, shared by the events with that ``k``.  This
+       is the joint law of ``x_N`` and the aggregated innovations ``U_k``,
+       which are independent of ``x_N`` and of each other.  Only one ``U`` is
+       held at a time, and blocks are sized for level ``N + 1``.
+    2. Reads.  Without ``given``, when the family makes ``D < 2**L`` distinct
+       linear reads of its level-``L`` vector, ``L`` the deepest event level
+       (see :func:`~whirly_lab.sets.linear_reads`), and the ``D x 2**L`` read
+       matrix ``A`` has at most ``_MAX_READ_ENTRIES`` entries (which binds
+       only above level 10), it draws ``D`` standard complex values ``xi``
+       per realization and evaluates every reduced event on ``xi @ conj(R)``,
+       where ``A^H = Q R``: the reads ``x @ A.T`` equal
+       ``(x @ conj(Q)) @ conj(R)``, and ``x @ conj(Q)`` is i.i.d. standard
+       because ``Q`` has orthonormal columns.  Blocks are sized for the level
+       of the padded reads.
+    3. Levels.  Otherwise it draws the deepest level the family or ``given``
+       needs, with :func:`~whirly_lab.tree.sample_levels` or
+       :func:`~whirly_lab.tree.conditional_levels`, and no level below it.
     """
 
     def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:
@@ -276,29 +286,43 @@ def event_indicators(
         return conditional_levels(given.entries, given.level, to, count, gen)
 
     plan = _innovation_copies(events, given)
-    if plan is None:
+    if plan is not None:
+        level, copies = plan
+        by_bit: dict[int, list[int]] = {}
+        for j, e in enumerate(events):
+            by_bit.setdefault(e.element.level - 1, []).append(j)
 
-        def tree_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            levels = levels_to(depth, gen, count)
-            return np.stack([e.indicator(levels) for e in events])
+        def innovation_block(gen: np.random.Generator, count: int) -> np.ndarray:
+            x = levels_to(level, gen, count)[level]
+            out = np.empty((len(events), count), dtype=bool)
+            for bit in sorted(by_bit):
+                w = refine(x, standard_complex(gen, x.shape))
+                for j in by_bit[bit]:
+                    out[j] = copies[j].indicator_at(w)
+            return out
 
-        return default_block_size(depth), tree_block
+        return default_block_size(level + 1), innovation_block
 
-    level, copies = plan
-    by_bit: dict[int, list[int]] = {}
-    for j, e in enumerate(events):
-        by_bit.setdefault(e.element.level - 1, []).append(j)
+    level = max([e.level for e in events] + ([] if given is None else [given.level]))
+    max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
+    reads = linear_reads(events, max_reads) if given is None else None
+    if reads is not None:
+        rows = reads.matrix.shape[0]
+        read_level = reads.reduced[0].level
+        factor = np.zeros((rows, 1 << read_level), dtype=np.complex128)
+        factor[:, :rows] = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
 
-    def innovation_block(gen: np.random.Generator, count: int) -> np.ndarray:
-        x = levels_to(level, gen, count)[level]
-        out = np.empty((len(events), count), dtype=bool)
-        for bit in sorted(by_bit):
-            w = refine(x, standard_complex(gen, x.shape))
-            for j in by_bit[bit]:
-                out[j] = copies[j].indicator_at(w)
-        return out
+        def read_block(gen: np.random.Generator, count: int) -> np.ndarray:
+            xi = standard_complex(gen, (count, rows)) @ factor
+            return np.stack([r.indicator_at(xi) for r in reads.reduced])
 
-    return default_block_size(level + 1), innovation_block
+        return default_block_size(read_level), read_block
+
+    def level_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        levels = levels_to(level, gen, count)
+        return np.stack([e.indicator(levels) for e in events])
+
+    return default_block_size(level), level_block
 
 
 def _check_common(depth: int, min_level: int, samples: int) -> None:
@@ -310,19 +334,31 @@ def _check_common(depth: int, min_level: int, samples: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
-def _estimate(
-    hits: Callable[[np.random.Generator, int], np.ndarray],
-    block_size: int,
+def estimate_measure(
+    target: BorelSet,
+    depth: int,
     samples: int,
     rng: RngStream,
-    workers: int,
-    confidence: float,
+    *,
+    workers: int = 1,
+    confidence: float = DEFAULT_CONFIDENCE,
 ) -> MeasureEstimate:
-    """Tally the boolean block sampler ``hits`` over the shard plan and wrap
-    the hit fraction in its Wilson interval."""
+    """Estimate the measure of ``target`` from fresh realizations.
+
+    Draws only what the set reads (see :func:`event_indicators`): two
+    standard complex values per realization for the symmetric difference of
+    two acted level-0 disks, at any level, and the set's own level vector
+    for a set that reads all of it.  ``depth`` is validated only: it must
+    reach the set's level, and a tree that deep must fit the sampler budget
+    (:func:`~whirly_lab.tree.check_sampler_budget`), but the draws do not
+    depend on it.
+    """
+    _check_common(depth, target.level, samples)
+    check_sampler_budget(depth, default_block_size(depth))
+    block_size, indicators = event_indicators([target])
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([int(np.count_nonzero(hits(gen, count)))], dtype=np.int64)
+        return np.array([int(np.count_nonzero(indicators(gen, count)))], dtype=np.int64)
 
     total = int(tally_blocks(block, samples, rng, block_size=block_size, workers=workers)[0])
     low, high = wilson_interval(total, samples, confidence)
@@ -338,89 +374,6 @@ def _estimate(
     )
 
 
-def _membership_sampler(
-    target: BorelSet,
-) -> tuple[int, Callable[[np.random.Generator, int], np.ndarray]]:
-    """Block size and block sampler of membership in ``target``.
-
-    The sampler maps ``(gen, count)`` to a boolean array telling which of
-    ``count`` fresh realizations lie in ``target``.  When the set makes fewer
-    linear reads ``D`` of its level-``L`` vector than ``2**L`` (see
-    :func:`~whirly_lab.sets.linear_reads`), and its ``D x 2**L`` read matrix
-    has at most ``_MAX_READ_ENTRIES`` entries (which binds only above level
-    10), it draws ``D`` standard complex values ``xi`` per realization and
-    evaluates the reduced set on ``xi @ conj(R)``, where ``A^H = Q R`` is a QR factorization of the read
-    matrix ``A``: the reads ``x @ A.T`` equal ``(x @ conj(Q)) @ conj(R)``, and
-    ``x @ conj(Q)`` is i.i.d. standard because ``Q`` has orthonormal columns.
-    Blocks are then sized for the level of the reads.  Any other set draws its
-    own level with :func:`~whirly_lab.tree.sample_levels` and no level below.
-    """
-    reads = linear_reads(target, min((1 << target.level) - 1, _MAX_READ_ENTRIES >> target.level))
-    if reads is None:
-        level = target.level
-
-        def level_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            return target.indicator(sample_levels(level, count, gen))
-
-        return default_block_size(level), level_block
-
-    rows = reads.matrix.shape[0]
-    factor = np.zeros((rows, 1 << reads.reduced.level), dtype=np.complex128)
-    factor[:, :rows] = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
-
-    def read_block(gen: np.random.Generator, count: int) -> np.ndarray:
-        return reads.reduced.indicator_at(standard_complex(gen, (count, rows)) @ factor)
-
-    return default_block_size(reads.reduced.level), read_block
-
-
-def estimate_measure(
-    target: BorelSet,
-    depth: int,
-    samples: int,
-    rng: RngStream,
-    *,
-    workers: int = 1,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> MeasureEstimate:
-    """Estimate the measure of ``target`` from fresh realizations.
-
-    Draws only what the set reads: a set that reads ``D < 2**L`` linear
-    combinations of its level-``L`` vector (two for the symmetric difference
-    of two acted level-0 disks, at any ``L``) gets ``D`` standard complex
-    values per realization, mapped to the exact joint law of its reads; any
-    other set gets its level-``L`` vector and no level below it (see
-    :func:`_membership_sampler`).  ``depth`` is validated only: it must reach
-    the set's level, and a tree that deep must fit the sampler budget
-    (:func:`~whirly_lab.tree.check_sampler_budget`), but the draws do not
-    depend on it.
-    """
-    _check_common(depth, target.level, samples)
-    check_sampler_budget(depth, default_block_size(depth))
-    block_size, hits = _membership_sampler(target)
-    return _estimate(hits, block_size, samples, rng, workers, confidence)
-
-
-def estimate_conditional_measure(
-    target: BorelSet,
-    given: LevelVector,
-    depth: int,
-    samples: int,
-    rng: RngStream,
-    *,
-    workers: int = 1,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> MeasureEstimate:
-    """Estimate the conditional measure of ``target`` given an exact level
-    vector, using the exact conditional sampler to ``depth``."""
-    _check_common(depth, max(target.level, given.level), samples)
-
-    def hits(gen: np.random.Generator, count: int) -> np.ndarray:
-        return target.indicator(conditional_levels(given.entries, given.level, depth, count, gen))
-
-    return _estimate(hits, default_block_size(depth), samples, rng, workers, confidence)
-
-
 def estimate_joint_events(
     events: Sequence[BorelSet],
     depth: int,
@@ -433,9 +386,10 @@ def estimate_joint_events(
     """Joint occupancy counts for up to 12 events on shared samples.
 
     With ``given`` the samples come from the exact conditional law pinned at
-    that level vector.  Families of whirled events are sampled in innovation
-    coordinates (see :func:`event_indicators`), so their counts do not depend
-    on ``depth``.
+    that level vector; one event and a ``given`` estimate a conditional
+    measure.  The events are sampled through :func:`event_indicators`, so
+    ``depth`` must reach every event's level and that of ``given``, but the
+    counts do not depend on it.
     """
     n_events = len(events)
     if not 1 <= n_events <= MAX_JOINT_EVENTS:
@@ -444,7 +398,7 @@ def estimate_joint_events(
     if given is not None:
         min_level = max(min_level, given.level)
     _check_common(depth, min_level, samples)
-    block_size, indicators = event_indicators(events, depth, given=given)
+    block_size, indicators = event_indicators(events, given=given)
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:
         code = np.zeros(count, dtype=np.int64)

@@ -21,10 +21,10 @@ Evaluation multiplies the level-``max(g.level, A.level)`` vector by the
 conjugate phases and projects down to ``A``'s level; this agrees with acting
 on the full tree because phases are constant below their own level.
 
-:func:`linear_reads` walks an expression once and returns the linear
-combinations of its level vector that its leaves read, with an equivalent set
-over those reads; the measure estimator samples the reads instead of the level
-when they are fewer.
+:func:`linear_reads` walks a family of expressions once and returns the
+linear combinations of their level vector that their leaves read, with an
+equivalent set over those reads for each; the estimators sample the reads
+instead of the level when they are fewer.
 """
 
 from __future__ import annotations
@@ -397,38 +397,40 @@ def symmetric_difference(a: BorelSet, b: BorelSet) -> BorelSet:
 
 
 class LinearReads(NamedTuple):
-    """The linear reads a set makes of its level vector, and the set on them.
+    """The linear reads a family of sets makes of its level vector, and the
+    sets on them.
 
-    ``matrix`` has shape ``(D, 2**L)``, ``L`` the set's level.  A level-``L``
-    row vector ``x`` lies in the set exactly when its reads ``x @ matrix.T``,
-    padded with zero columns to ``2**reduced.level``, lie in ``reduced``.
+    ``matrix`` has shape ``(D, 2**L)``, ``L`` the deepest level of the family.
+    A level-``L`` row vector ``x`` lies in set ``j`` exactly when its reads
+    ``x @ matrix.T``, padded with zero columns to ``2**reduced[j].level``,
+    lie in ``reduced[j]``.
     """
 
     matrix: np.ndarray
-    reduced: BorelSet
+    reduced: tuple[BorelSet, ...]
 
 
-def linear_reads(target: BorelSet, max_reads: int) -> LinearReads | None:
-    """The reads of ``target`` when it makes at most ``max_reads``, else ``None``.
+def linear_reads(events: Sequence[BorelSet], max_reads: int) -> LinearReads | None:
+    """The reads of a family of sets when it makes at most ``max_reads``, else ``None``.
 
-    One walk of the expression tree follows the affine map from the level-``L``
-    vector ``x`` to each leaf's input: acted images multiply by their
-    conjugate phases, children coarser than their parent project, and affine
-    images subtract their shift and divide by their scale.  Row ``i`` of the
-    map to a level-``l`` leaf reads only the ``2**(L - l)`` entries of ``x``
-    below path ``i``, so the linear part is kept as one coefficient per entry
-    of ``x``.  Each distinct linear part gets its own block of rows, once,
-    however many leaves read it; the walk stops as soon as the rows exceed
-    ``max_reads``, before any matrix is built.
+    One walk of each expression tree follows the affine map from the
+    level-``L`` vector ``x`` to each leaf's input: sets and children coarser
+    than ``x`` project, acted images multiply by their conjugate phases, and
+    affine images subtract their shift and divide by their scale.  Row ``i``
+    of the map to a level-``l`` leaf reads only the ``2**(L - l)`` entries of
+    ``x`` below path ``i``, so the linear part is kept as one coefficient per
+    entry of ``x``.  Each distinct linear part gets its own block of rows,
+    once, however many leaves of however many sets read it; the walk stops as
+    soon as the rows exceed ``max_reads``, before any matrix is built.
 
-    The reduced set keeps the union, intersection and complement nodes and
-    drops the acted and affine ones.  Its leaves all live at the level
+    Each reduced set keeps the union, intersection and complement nodes and
+    drops the acted and affine ones.  Their leaves all live at the level
     ``ceil(log2(D))`` and test only their own block of reads: a disk factor
     has radius ``inf`` and a halfspace a zero normal outside it.  Shifts are
     folded into the disk centers and halfspace offsets.  Returns ``None`` for
     node types other than the grammar's.
     """
-    top = target.level
+    top = max(e.level for e in events)
     # (leaf level, coefficient bytes) -> (first row, coefficients)
     reads: dict[tuple[int, bytes], tuple[int, np.ndarray]] = {}
     rows = 0
@@ -471,9 +473,14 @@ def linear_reads(target: BorelSet, max_reads: int) -> LinearReads | None:
             shift = project_vectors(shift[None, :], level, child.level)[0]
         return walk(child, coef, shift)
 
-    plan = walk(target, np.ones(1 << top, dtype=np.complex128), np.zeros(1 << top, dtype=np.complex128))
-    if plan is None:
-        return None
+    ones = np.ones(1 << top, dtype=np.complex128)
+    zeros = np.zeros(1 << top, dtype=np.complex128)
+    plans = []
+    for event in events:
+        plan = down(event, top, ones, zeros)
+        if plan is None:
+            return None
+        plans.append(plan)
     level = (rows - 1).bit_length()
 
     def build(spec) -> BorelSet:
@@ -498,7 +505,7 @@ def linear_reads(target: BorelSet, max_reads: int) -> LinearReads | None:
         n = 1 << leaf_level
         rows_of = matrix[start : start + n].reshape(n, n, -1)
         rows_of[np.arange(n), np.arange(n)] = coef.reshape(n, -1)
-    return LinearReads(matrix, build(plan))
+    return LinearReads(matrix, tuple(build(plan) for plan in plans))
 
 
 # ---------------------------------------------------------------------------

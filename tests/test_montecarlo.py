@@ -12,6 +12,7 @@ import whirly_lab.tree as tree_module
 from whirly_lab import (
     DepthMismatchError,
     GroupElement,
+    JointTable,
     LevelVector,
     RngStream,
     acted_set,
@@ -19,10 +20,10 @@ from whirly_lab import (
     affine_image,
     boolean_combine,
     compose,
+    conditional_levels,
     default_block_size,
     disk_mass,
     disk_product,
-    estimate_conditional_measure,
     estimate_joint_events,
     estimate_measure,
     event_indicators,
@@ -175,26 +176,28 @@ class TestEstimateMeasure:
 
 
 class TestConditionalMeasure:
+    """One event and a ``given`` vector: a conditional measure."""
+
     def test_pinned_vector_in_set_gives_one(self):
         z = LevelVector(1, [0.1 + 0j, -0.1 + 0j])
         d = disk_product(1, z.entries, 0.5)
-        est = estimate_conditional_measure(d, z, 1, 1000, RngStream(78))
-        assert est.estimate == 1.0
+        table = estimate_joint_events([d], 1, 1000, RngStream(78), given=z)
+        assert table.marginal(0) == 1.0
 
     def test_whirled_disk_given_zero_root(self):
         # conditioned on a zero root, the unit disk whirled at strength 1
         # has conditional mass equal to the mass of the sqrt(2)-dilated disk
         z = LevelVector(0, [0j])
         moved = acted_set(make_gsk(1.0, 0), disk_product(0, 0j, 1.0))
-        est = estimate_conditional_measure(moved, z, 1, 100_000, RngStream(79))
+        table = estimate_joint_events([moved], 1, 100_000, RngStream(79), given=z)
         exact = disk_mass(math.sqrt(2.0))
-        assert abs(est.estimate - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / est.samples)
+        assert abs(table.marginal(0) - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / table.samples)
 
     def test_depth_must_reach_both_levels(self):
         z = LevelVector(2, np.zeros(4, dtype=complex))
         d = disk_product(0, 0j, 1.0)
         with pytest.raises(DepthMismatchError):
-            estimate_conditional_measure(d, z, 1, 1000, RngStream(80))
+            estimate_joint_events([d], 1, 1000, RngStream(80), given=z)
 
 
 class TestJointEvents:
@@ -241,10 +244,23 @@ class TestJointEvents:
         assert sum(payload["counts"]) == payload["samples"]
 
 
-def _tree_path(events):
-    """The same events as one-operand unions: the same sets, but not acted
-    images, so their family is evaluated on full trees."""
-    return [boolean_combine("union", [e]) for e in events]
+def _oracle_table(events, depth: int, samples: int, seed: int, given=None) -> JointTable:
+    """Joint table of ``events`` on full trees to ``depth`` from
+    ``sample_levels``, or from ``conditional_levels`` with ``given``: the
+    reference every path of ``event_indicators`` is tested against."""
+
+    def block(gen, count):
+        if given is None:
+            levels = sample_levels(depth, count, gen)
+        else:
+            levels = conditional_levels(given.entries, given.level, depth, count, gen)
+        code = np.zeros(count, dtype=np.int64)
+        for j, e in enumerate(events):
+            code |= e.indicator(levels).astype(np.int64) << j
+        return np.bincount(code, minlength=1 << len(events))
+
+    counts = tally_blocks(block, samples, RngStream(seed), block_size=default_block_size(depth))
+    return JointTable(len(events), tuple(int(c) for c in counts), samples, seed)
 
 
 def _max_cell_sigma(a, b) -> float:
@@ -264,10 +280,10 @@ class TestInnovationPath:
 
     def _agree(self, events, depth, seed, given=None):
         fast = estimate_joint_events(events, depth, self.SAMPLES, RngStream(seed), given=given)
-        slow = estimate_joint_events(_tree_path(events), depth, self.SAMPLES, RngStream(seed + 1), given=given)
+        slow = _oracle_table(events, depth, self.SAMPLES, seed + 1, given=given)
         assert _max_cell_sigma(fast, slow) < 4.0
         # The innovation path never reads levels below N + 1, so depth does not
-        # change its draws; the tree path's draws would change.
+        # change its draws.
         deeper = estimate_joint_events(events, depth + 2, self.SAMPLES, RngStream(seed), given=given)
         assert deeper.counts == fast.counts
         return fast, slow
@@ -309,36 +325,75 @@ class TestInnovationPath:
 
     def test_blocks_are_sized_for_the_level_the_draws_reach(self):
         events = [acted_set(make_gsk(0.5, k), disk_product(6, 0j, 1.0)) for k in (6, 11)]
-        assert event_indicators(events, 12)[0] == default_block_size(7)
-        assert event_indicators(_tree_path(events), 12)[0] == default_block_size(12)
-
-    def test_other_families_keep_the_tree_sampler(self):
-        # Counts recorded from the leaf-first full-tree sampler with blocks of
-        # at most 2**17 values; families the innovation path cannot take must
-        # reproduce them.
-        d0 = disk_product(0, 0j, 1.0)
-        d2 = disk_product(2, 0j, 1.5)
-        scrambled = random_element(2, RngStream(90).generator())
-        a = estimate_joint_events(
-            [acted_set(scrambled, d0), acted_set(make_gsk(0.5, 1), d0)], 3, 3000, RngStream(91)
-        )
-        assert a.counts == (1173, 667, 662, 498)
-        # Bit 0 lies above the level-2 base.
-        b = estimate_joint_events(
-            [acted_set(make_gsk(0.5, 0), d2), acted_set(make_gsk(0.5, 2), d2)], 3, 3000, RngStream(92)
-        )
-        assert b.counts == (2113, 247, 275, 365)
+        assert event_indicators(events)[0] == default_block_size(7)
+        # The same sets as one-operand unions make 128 reads of their level-12
+        # vector, padded to level 7.
+        unions = [boolean_combine("union", [e]) for e in events]
+        assert event_indicators(unions)[0] == default_block_size(7)
+        # A set that reads its whole level is drawn at that level.
+        assert event_indicators([disk_product(3, 0j, 1.0)])[0] == default_block_size(3)
 
 
-def _level_estimate(target, samples: int, seed: int) -> tuple[float, float]:
-    """Hit fraction and standard error on full level vectors from
-    ``sample_levels``, the reference for the read path."""
+def _scrambled_family():
+    """Two acted level-0 disks, one through a scrambling element, so the
+    innovation path cannot take them; two reads of the level-2 vector."""
+    d0 = disk_product(0, 0j, 1.0)
+    scrambled = random_element(2, RngStream(90).generator())
+    return [acted_set(scrambled, d0), acted_set(make_gsk(0.5, 1), d0)]
 
-    def block(gen, count):
-        return np.array([np.count_nonzero(target.indicator(sample_levels(target.level, count, gen)))])
 
-    p = tally_blocks(block, samples, RngStream(seed), block_size=default_block_size(target.level))[0] / samples
-    return p, math.sqrt(p * (1.0 - p) / samples)
+def _bit_above_base_family():
+    """Bit 0 lies above the level-2 base, so the innovation path cannot take
+    it; eight reads of the level-3 vector, so neither can the read path."""
+    d2 = disk_product(2, 0j, 1.5)
+    return [acted_set(make_gsk(0.5, 0), d2), acted_set(make_gsk(0.5, 2), d2)]
+
+
+def _off_center_family():
+    """Two reads of the level-3 vector with a strongly complex correlation and
+    off-center disks of different mass, so a transposed, unconjugated or
+    reordered read sampler changes the joint law."""
+    gen = RngStream(102).generator()
+    g = random_element(3, gen)
+    h = compose(g, GroupElement(3, np.exp(1j * gen.uniform(0.8, 1.2, size=8))))
+    return [
+        acted_set(g, disk_product(0, 0.8 - 0.3j, 1.3)),
+        acted_set(h, disk_product(0, -0.4 + 0.6j, 1.0)),
+    ]
+
+
+_GIVEN_1 = LevelVector(1, [0.4 - 0.2j, -0.6 + 0.1j])
+
+
+def _conditional_family():
+    """Given a level-1 vector; bit 0 lies above the level-2 base."""
+    d1 = disk_product(1, 0.3j, 1.2)
+    d2 = disk_product(2, 0j, 1.5)
+    return [acted_set(make_gsk(0.5, 0), d2), acted_set(random_element(2, RngStream(103).generator()), d1)]
+
+
+class TestOtherFamilies:
+    """Families the innovation path cannot take agree in law with full trees."""
+
+    SAMPLES = 200_000
+
+    @pytest.mark.parametrize(
+        "make, given",
+        [
+            (_scrambled_family, None),
+            (_bit_above_base_family, None),
+            (_off_center_family, None),
+            (_conditional_family, _GIVEN_1),
+        ],
+        ids=["scrambled-reads", "bit-above-base", "off-center-reads", "conditional"],
+    )
+    def test_agree_in_law_with_full_trees(self, make, given):
+        events = make()
+        depth = max(e.level for e in events) + 1
+        fast = estimate_joint_events(events, depth, self.SAMPLES, RngStream(104), given=given)
+        slow = _oracle_table(events, depth, self.SAMPLES, 105, given=given)
+        assert np.all(fast.probs > 0.01)
+        assert _max_cell_sigma(fast, slow) < 4.0
 
 
 def _continuity_set():
@@ -366,6 +421,28 @@ def _affine_in_intersection():
     return boolean_combine("intersection", [moved, boolean_combine("complement", [plane])])
 
 
+def _measure_of(make):
+    """``run(extra_depth, workers)``: the JSON of a 30k-sample estimate of ``make()``."""
+
+    def run(extra: int, workers: int) -> str:
+        target = make()
+        est = estimate_measure(target, target.level + extra, 30_000, RngStream(98), workers=workers)
+        return est.to_json()
+
+    return run
+
+
+def _joint_table_of(make, given=None):
+    """``run(extra_depth, workers)``: the counts of a 30k-sample joint table of ``make()``."""
+
+    def run(extra: int, workers: int) -> tuple:
+        events = make()
+        depth = max(e.level for e in events) + extra
+        return estimate_joint_events(events, depth, 30_000, RngStream(98), given=given, workers=workers).counts
+
+    return run
+
+
 class TestReadPath:
     """Sets that read fewer values than their level holds are sampled
     through the exact joint law of their reads."""
@@ -379,19 +456,25 @@ class TestReadPath:
     )
     def test_agrees_in_law_with_level_draws(self, make):
         target = make()
-        assert linear_reads(target, 1 << target.level).matrix.shape[0] == 2
+        assert linear_reads([target], 1 << target.level).matrix.shape[0] == 2
         fast = estimate_measure(target, target.level, self.SAMPLES, RngStream(96))
-        p, se = _level_estimate(target, self.SAMPLES, 97)
+        p = _oracle_table([target], target.level, self.SAMPLES, 97).marginal(0)
+        se = math.sqrt(p * (1.0 - p) / self.SAMPLES)
         assert 0.05 < p < 0.95
         assert abs(fast.estimate - p) < 4.0 * math.hypot(fast.std_error, se)
 
-    @pytest.mark.parametrize("make", [_continuity_set, lambda: disk_product(1, 0j, 1.2)], ids=["reads", "level"])
-    def test_depth_and_workers_do_not_change_the_draws(self, make):
-        target = make()
-        base = estimate_measure(target, target.level, 30_000, RngStream(98))
-        deeper = estimate_measure(target, target.level + 3, 30_000, RngStream(98))
-        threaded = estimate_measure(target, target.level, 30_000, RngStream(98), workers=4)
-        assert base.to_json() == deeper.to_json() == threaded.to_json()
+    @pytest.mark.parametrize(
+        "run",
+        [
+            _measure_of(_continuity_set),
+            _measure_of(lambda: disk_product(1, 0j, 1.2)),
+            _joint_table_of(_scrambled_family),
+            _joint_table_of(_conditional_family, _GIVEN_1),
+        ],
+        ids=["reads", "level", "joint-reads", "joint-given"],
+    )
+    def test_depth_and_workers_do_not_change_the_draws(self, run):
+        assert run(0, 1) == run(3, 1) == run(0, 4)
 
     def test_draws_only_the_reads(self, monkeypatch):
         shapes = []
@@ -434,3 +517,81 @@ class TestReadPath:
         monkeypatch.setattr(tree_module, "standard_complex", no_draw)
         with pytest.raises(ValueError, match="budget"):
             estimate_measure(disk, 20, 1000, RngStream(101))
+
+
+def _recorded_draws(monkeypatch, run) -> list[tuple[str, int]]:
+    """Every draw ``run()`` makes through the estimators: ``("levels", depth)``,
+    ``("conditional", depth)`` or ``("normals", width)``, in order."""
+    calls = []
+
+    def levels(depth, count, gen):
+        calls.append(("levels", depth))
+        return sample_levels(depth, count, gen)
+
+    def conditional(entries, level, depth, count, gen):
+        calls.append(("conditional", depth))
+        return conditional_levels(entries, level, depth, count, gen)
+
+    def normals(gen, shape):
+        calls.append(("normals", shape[1]))
+        return standard_complex(gen, shape)
+
+    monkeypatch.setattr(montecarlo_module, "sample_levels", levels)
+    monkeypatch.setattr(montecarlo_module, "conditional_levels", conditional)
+    monkeypatch.setattr(montecarlo_module, "standard_complex", normals)
+    run()
+    return calls
+
+
+_GIVEN_2 = LevelVector(2, [0.3, -0.5j, 1.0 + 0.2j, 0.1])
+
+
+class TestSelectionRule:
+    """Which draws each family gets, on the families the benchmark traces:
+    one block of 1000 samples each."""
+
+    @pytest.mark.parametrize(
+        "run, draws",
+        [
+            # whirl-deep's joint table: the root, then one U_k per bit.
+            (
+                lambda: estimate_joint_events(
+                    [acted_set(make_gsk(0.5, k), disk_product(0, 0j, 1.0)) for k in range(12)],
+                    12, 1000, RngStream(106),
+                ),
+                [("levels", 0)] + [("normals", 1)] * 12,
+            ),
+            # cylinder-mix's conditional table: pinned level 2, then one U_k per bit.
+            (
+                lambda: estimate_joint_events(
+                    [acted_set(make_gsk(1.0, k), disk_product(2, 0j, 1.5)) for k in range(2, 6)],
+                    6, 1000, RngStream(107), given=_GIVEN_2,
+                ),
+                [("conditional", 2)] + [("normals", 4)] * 4,
+            ),
+            # A single whirled set, as in the README's quick start.
+            (
+                lambda: estimate_measure(acted_set(make_gsk(1.0, 3), disk_product(2, 0j, 1.0)), 5, 1000, RngStream(108)),
+                [("levels", 2), ("normals", 4)],
+            ),
+            # The continuity set: two reads.
+            (lambda: estimate_measure(_continuity_set(), 6, 1000, RngStream(109)), [("normals", 2)]),
+            # cylinder-mix's affine reference reads its whole level.
+            (
+                lambda: estimate_measure(
+                    affine_image(disk_product(2, 0j, 1.5), math.sqrt(2.0), -_GIVEN_2.entries), 2, 1000, RngStream(110)
+                ),
+                [("levels", 2)],
+            ),
+            # A family the innovation path cannot take draws only its reads.
+            (lambda: estimate_joint_events(_scrambled_family(), 5, 1000, RngStream(111)), [("normals", 2)]),
+            # With given, the same kind of family draws its deepest level.
+            (
+                lambda: estimate_joint_events(_conditional_family(), 5, 1000, RngStream(112), given=_GIVEN_1),
+                [("conditional", 2)],
+            ),
+        ],
+        ids=["whirled", "whirled-given", "single-whirled", "continuity", "affine-reference", "other-family", "other-given"],
+    )
+    def test_draws(self, monkeypatch, run, draws):
+        assert _recorded_draws(monkeypatch, run) == draws

@@ -355,7 +355,7 @@ _EXPRESSIONS = st.recursive(
 
 def _padded_reads(reads, x: np.ndarray) -> np.ndarray:
     y = x @ reads.matrix.T
-    return np.pad(y, ((0, 0), (0, (1 << reads.reduced.level) - y.shape[1])))
+    return np.pad(y, ((0, 0), (0, (1 << reads.reduced[0].level) - y.shape[1])))
 
 
 def _kinds(node) -> set:
@@ -368,13 +368,39 @@ class TestLinearReads:
     @given(_EXPRESSIONS, _SEEDS)
     @settings(deadline=None, derandomize=True, max_examples=150)
     def test_reduced_set_on_the_reads_is_the_set(self, target, seed):
-        reads = linear_reads(target, 1 << 12)
+        reads = linear_reads([target], 1 << 12)
         assert reads.matrix.shape[1] == 1 << target.level
-        assert not _kinds(reads.reduced) & {"acted-image", "affine-image"}
+        (reduced,) = reads.reduced
+        assert not _kinds(reduced) & {"acted-image", "affine-image"}
         x = _draws(seed % 1000, 300, target.level)
-        np.testing.assert_array_equal(
-            reads.reduced.indicator_at(_padded_reads(reads, x)), target.indicator_at(x)
-        )
+        np.testing.assert_array_equal(reduced.indicator_at(_padded_reads(reads, x)), target.indicator_at(x))
+
+    @given(st.lists(_EXPRESSIONS, min_size=2, max_size=3), _SEEDS)
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    def test_family_shares_one_read_table(self, events, seed):
+        top = max(e.level for e in events)
+        reads = linear_reads(events, 1 << 12)
+        assert reads.matrix.shape[1] == 1 << top
+        assert reads.matrix.shape[0] <= sum(linear_reads([e], 1 << 12).matrix.shape[0] for e in events)
+        assert len(reads.reduced) == len(events)
+        assert len({r.level for r in reads.reduced}) == 1
+        x = _draws(seed % 1000, 300, top)
+        y = _padded_reads(reads, x)
+        for event, reduced in zip(events, reads.reduced):
+            np.testing.assert_array_equal(reduced.indicator_at(y), event.indicator_at(x, top))
+
+    def test_one_read_serves_every_set_that_makes_it(self):
+        gen = RngStream(72).generator()
+        disk = disk_product(0, 0j, 1.0)
+        g, h = random_element(3, gen), random_element(2, gen)
+        # The level-2 set reads its disk through a projection of the level-3
+        # vector; the union reads g's read again.
+        family = [acted_set(g, disk), acted_set(h, disk), boolean_combine("union", [acted_set(g, disk)])]
+        reads = linear_reads(family, 7)
+        assert reads.matrix.shape == (2, 8)
+        np.testing.assert_allclose(reads.matrix[1], np.repeat(np.conj(h.phases), 2) / math.sqrt(8.0))
+        assert [r.level for r in reads.reduced] == [1, 1, 1]
+        assert linear_reads(family, 1) is None
 
     def test_each_distinct_read_appears_once(self):
         gen = RngStream(70).generator()
@@ -382,25 +408,25 @@ class TestLinearReads:
         g, h = random_element(6, gen), random_element(6, gen)
         # Each acted disk appears twice in the symmetric difference.
         moved = symmetric_difference(acted_set(g, disk), acted_set(h, disk))
-        reads = linear_reads(moved, 63)
+        reads = linear_reads([moved], 63)
         assert reads.matrix.shape == (2, 64)
         np.testing.assert_allclose(reads.matrix, np.stack([np.conj(g.phases), np.conj(h.phases)]) / 8.0)
-        assert reads.reduced.kind == "union" and reads.reduced.level == 1
+        assert reads.reduced[0].kind == "union" and reads.reduced[0].level == 1
         # The same leaf through two maps is two reads; one map is one.
-        assert linear_reads(symmetric_difference(acted_set(g, disk), acted_set(g, disk)), 63).matrix.shape == (1, 64)
+        assert linear_reads([symmetric_difference(acted_set(g, disk), acted_set(g, disk))], 63).matrix.shape == (1, 64)
 
     def test_stops_at_max_reads(self):
         disk = disk_product(3, 0j, 1.0)
-        assert linear_reads(disk, 7) is None
-        assert linear_reads(disk, 8).matrix.shape == (8, 8)
+        assert linear_reads([disk], 7) is None
+        assert linear_reads([disk], 8).matrix.shape == (8, 8)
         wide = boolean_combine("union", [disk, acted_set(random_element(3, RngStream(71).generator()), disk)])
-        assert linear_reads(wide, 15) is None
-        assert linear_reads(wide, 16).matrix.shape == (16, 8)
+        assert linear_reads([wide], 15) is None
+        assert linear_reads([wide], 16).matrix.shape == (16, 8)
 
     def test_shift_is_folded_into_centers_and_offsets(self):
         disk = affine_image(disk_product(0, 0.5 + 0j, 1.0), 2.0, 1.0 - 1j)
         plane = affine_image(halfspace(0, 1.0 + 1j, 0.25), 0.5, 2.0 + 0j)
-        reduced = linear_reads(boolean_combine("intersection", [disk, plane]), 4).reduced
+        (reduced,) = linear_reads([boolean_combine("intersection", [disk, plane])], 4).reduced
         # The disk reads x/2 and holds x when |x/2 - (1 - 1j)/2 - 0.5| < 1.
         first, second = reduced.children
         assert first.centers[0] == pytest.approx(0.5 + (1.0 - 1j) / 2.0)
