@@ -8,9 +8,17 @@ Every estimate draws through one block sampler, :func:`event_indicators`,
 which draws only what a family of events reads and chooses how from the
 family alone: whirled events in innovation coordinates, ``(m + 1) * 2**N``
 draws per sample for ``m`` distinct bits; other unconditional families
-through the exact joint law of their ``D`` stacked linear reads when
-``D < 2**L``; and otherwise the deepest level the family needs, never a level
-below it.  An estimator's ``depth`` is validated, not sampled.
+through the exact joint law of their ``D`` stacked linear reads when ``D``
+plus the off-diagonal entries of their per-group triangular factors stays
+below ``2**L``; and otherwise the deepest level the family needs, never a
+level below it.  An estimator's ``depth`` is validated, not sampled.
+
+Reads that share no column of the level vector are independent, so the read
+factor is block-diagonal over support groups and each group is factored on
+its own columns.  A block applies it by columns: one scale by the diagonal,
+then one 1-D update per off-diagonal entry.  No sampling block calls BLAS:
+OpenBLAS threads even a product by a ``2 x 2`` factor, and its threads then
+compete with the tally's workers (README, "Hot-path kernels").
 
 Sharding rule: the requested sample count is pre-partitioned into fixed-size
 blocks by index (:func:`block_plan`), and block ``i`` always draws from the
@@ -31,7 +39,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -59,9 +67,9 @@ MAX_JOINT_EVENTS = 12
 _BLOCK_LEAF_BUDGET = 1 << 16
 _MIN_BLOCK = 64
 
-# Most entries of a read matrix (16 MB).  It binds only above level 10, where
-# it keeps the matrix, its QR factorization and the per-realization product
-# with its factor cheaper than drawing the level itself.
+# Most entries of the dense read matrix (16 MB), which is built before it is
+# split into support groups.  It binds only above level 10; the per-block cost
+# of the factor is bounded by the read path's own rule (event_indicators).
 _MAX_READ_ENTRIES = 1 << 20
 
 
@@ -245,6 +253,75 @@ def _innovation_copies(
     return level, copies
 
 
+def _support_groups(mask: np.ndarray) -> list[np.ndarray]:
+    """Rows of a ``(D, W)`` nonzero pattern that share a column, taken
+    transitively; rows ascending within a group, groups by their first row."""
+    parent = list(range(mask.shape[0]))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = np.full(mask.shape[1], -1)
+    for i, row in enumerate(mask):
+        cols = np.flatnonzero(row)
+        for j in np.unique(owner[cols]):
+            if j >= 0:
+                parent[root(int(j))] = i
+        owner[cols] = i
+    groups: dict[int, list[int]] = {}
+    for i in range(mask.shape[0]):
+        groups.setdefault(root(i), []).append(i)
+    return [np.array(rows) for rows in groups.values()]
+
+
+class ReadFactor(NamedTuple):
+    """``conj(R)`` for a read matrix ``A`` with ``A^H = Q R``, one QR per
+    support group, so ``R`` is block-diagonal up to the order of its rows.
+
+    ``diagonal[i]`` is entry ``(i, i)`` and ``updates`` lists every entry
+    ``(i, j, value)`` with ``i < j`` in one group.
+    """
+
+    diagonal: np.ndarray
+    updates: tuple[tuple[int, int, complex], ...]
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, limit: int) -> "ReadFactor | None":
+        """The factor of ``matrix``, or ``None`` when its rows plus its
+        off-diagonal entries reach ``limit``, before any QR is taken."""
+        mask = matrix != 0
+        groups = _support_groups(mask)
+        if matrix.shape[0] + sum(g.size * (g.size - 1) // 2 for g in groups) >= limit:
+            return None
+        diagonal = np.zeros(matrix.shape[0], dtype=np.complex128)
+        updates = []
+        for rows in groups:
+            cols = np.flatnonzero(mask[rows].any(axis=0))
+            r = np.linalg.qr(matrix[np.ix_(rows, cols)].conj().T, mode="r")
+            # A group with fewer columns than rows gets zero rows: its extra
+            # draws are read by nothing.
+            factor = np.zeros((rows.size, rows.size), dtype=np.complex128)
+            factor[: r.shape[0]] = np.conj(r)
+            diagonal[rows] = factor.diagonal()
+            for a, b in zip(*np.triu_indices(rows.size, 1)):
+                updates.append((int(rows[a]), int(rows[b]), complex(factor[a, b])))
+        return cls(diagonal, tuple(updates))
+
+    def apply(self, z: np.ndarray, width: int) -> np.ndarray:
+        """``z @ conj(R)`` padded with zero columns to ``width``, column by
+        column: each step is one long loop over the batch and none calls BLAS."""
+        count, rows = z.shape
+        xi = np.empty((count, width), dtype=np.complex128)
+        np.multiply(z, self.diagonal, out=xi[:, :rows])
+        xi[:, rows:] = 0.0
+        for i, j, value in self.updates:
+            xi[:, j] += z[:, i] * value
+        return xi
+
+
 def event_indicators(
     events: Sequence[BorelSet], *, given: LevelVector | None = None
 ) -> tuple[int, Callable[[np.random.Generator, int], np.ndarray]]:
@@ -265,16 +342,24 @@ def event_indicators(
        is the joint law of ``x_N`` and the aggregated innovations ``U_k``,
        which are independent of ``x_N`` and of each other.  Only one ``U`` is
        held at a time, and blocks are sized for level ``N + 1``.
-    2. Reads.  Without ``given``, when the family makes ``D < 2**L`` distinct
-       linear reads of its level-``L`` vector, ``L`` the deepest event level
-       (see :func:`~whirly_lab.sets.linear_reads`), and the ``D x 2**L`` read
-       matrix ``A`` has at most ``_MAX_READ_ENTRIES`` entries (which binds
-       only above level 10), it draws ``D`` standard complex values ``xi``
-       per realization and evaluates every reduced event on ``xi @ conj(R)``,
-       where ``A^H = Q R``: the reads ``x @ A.T`` equal
-       ``(x @ conj(Q)) @ conj(R)``, and ``x @ conj(Q)`` is i.i.d. standard
-       because ``Q`` has orthonormal columns.  Blocks are sized for the level
-       of the padded reads.
+    2. Reads.  Without ``given``, the family's ``D`` distinct linear reads
+       of its level-``L`` vector, ``L`` the deepest event level (see
+       :func:`~whirly_lab.sets.linear_reads`), form a ``D x 2**L`` read
+       matrix ``A``.  Rows that share a nonzero column, taken transitively,
+       form a support group; reads of different groups are independent.
+       :class:`ReadFactor` takes ``A_g^H = Q_g R_g`` on each group's own
+       columns, and ``conj(R)`` is block-diagonal over the groups.  When
+       ``D`` plus the off-diagonal entries of ``R`` is below ``2**L``, the
+       draws of the level, and ``A`` has at most ``_MAX_READ_ENTRIES``
+       entries (which binds only above level 10), the sampler draws ``D``
+       standard complex values ``z`` per realization and evaluates every
+       reduced event on ``xi = z @ conj(R)``, computed as one scale of ``z``
+       by the diagonal and one 1-D column update per off-diagonal entry: the
+       reads ``x @ A_g.T`` equal ``(x @ conj(Q_g)) @ conj(R_g)``, and
+       ``x @ conj(Q_g)`` is i.i.d. standard because ``Q_g`` has orthonormal
+       columns.  The rule bounds the updates per block, which one dense
+       group would make quadratic in ``D``.  ``xi`` keeps the read order and
+       is padded with zero columns; blocks are sized for its level.
     3. Levels.  Otherwise it draws the deepest level the family or ``given``
        needs, with :func:`~whirly_lab.tree.sample_levels` or
        :func:`~whirly_lab.tree.conditional_levels`, and no level below it.
@@ -306,14 +391,13 @@ def event_indicators(
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
     max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
     reads = linear_reads(events, max_reads) if given is None else None
-    if reads is not None:
+    factor = None if reads is None else ReadFactor.of(reads.matrix, 1 << level)
+    if factor is not None:
         rows = reads.matrix.shape[0]
         read_level = reads.reduced[0].level
-        factor = np.zeros((rows, 1 << read_level), dtype=np.complex128)
-        factor[:, :rows] = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
 
         def read_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            xi = standard_complex(gen, (count, rows)) @ factor
+            xi = factor.apply(standard_complex(gen, (count, rows)), 1 << read_level)
             return np.stack([r.indicator_at(xi) for r in reads.reduced])
 
         return default_block_size(read_level), read_block
@@ -332,6 +416,7 @@ def _check_common(depth: int, min_level: int, samples: int) -> None:
         )
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    check_sampler_budget(depth, default_block_size(depth))
 
 
 def estimate_measure(
@@ -354,7 +439,6 @@ def estimate_measure(
     depend on it.
     """
     _check_common(depth, target.level, samples)
-    check_sampler_budget(depth, default_block_size(depth))
     block_size, indicators = event_indicators([target])
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -388,8 +472,9 @@ def estimate_joint_events(
     With ``given`` the samples come from the exact conditional law pinned at
     that level vector; one event and a ``given`` estimate a conditional
     measure.  The events are sampled through :func:`event_indicators`, so
-    ``depth`` must reach every event's level and that of ``given``, but the
-    counts do not depend on it.
+    ``depth`` is validated as in :func:`estimate_measure`: it must reach
+    every event's level and that of ``given``, and a tree that deep must fit
+    the sampler budget, but the counts do not depend on it.
     """
     n_events = len(events)
     if not 1 <= n_events <= MAX_JOINT_EVENTS:

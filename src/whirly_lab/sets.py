@@ -175,7 +175,12 @@ class Halfspace(BorelSet):
         self.offset = float(offset)
 
     def _member(self, x: np.ndarray) -> np.ndarray:
-        return (x @ np.conj(self.normal)).real <= self.offset
+        # Re(conj(normal) * x) summed over sibling pairs, as DiskProduct ANDs
+        # them: long loops over the batch, and no BLAS call in a sampling block.
+        s = (x * np.conj(self.normal)).real
+        while s.shape[1] > 1:
+            s = s[:, 0::2] + s[:, 1::2]
+        return s[:, 0] <= self.offset
 
     def to_json(self) -> dict:
         return {

@@ -26,3 +26,23 @@ def test_criterion(criterion, capsys):
             print(f"     observed  = {report.observed}")
             print(f"     thresholds = {report.thresholds}")
     assert report.passed, f"acceptance criterion {criterion.key} failed"
+
+
+# The continuity criterion's observed values at scale 0.1 and the pinned seed.
+# Its estimates take the read path, so a change to the read kernels that moves
+# any count moves these; a change that alters the draws on purpose re-records
+# them and says so in CHANGES.md.
+_QUICK_CONTINUITY = {
+    "annulus_mass": 0.030000000000000082,
+    "band_half_width": 0.024735863583629957,
+    "delta": 0.0031933862571152443,
+    "max_pair_distance": 0.0031878500897458773,
+    "max_symdiff_clearance": 0.0026610232555810413,
+    "max_symdiff_estimate": 0.0015,
+}
+
+
+def test_quick_continuity_is_pinned():
+    criterion = next(c for c in CRITERIA if c.key == "continuity")
+    report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
+    assert report.observed == _QUICK_CONTINUITY

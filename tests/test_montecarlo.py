@@ -1,6 +1,11 @@
 """Random streams, sharded tallies, Wilson intervals, and the estimators."""
 
+import ast
+import inspect
 import math
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from whirly_lab import (
     tally_blocks,
     wilson_interval,
 )
+from whirly_lab.montecarlo import ReadFactor
 
 
 class TestRngStream:
@@ -236,6 +242,23 @@ class TestJointEvents:
         with pytest.raises(ValueError):
             estimate_joint_events([d] * 13, 0, 1000, RngStream(85))
 
+    def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
+        def no_draw(gen, shape):
+            raise AssertionError("drew before checking the budget")
+
+        disk = disk_product(0, 0j, 1.0)
+        # The depths the benchmark passes: whirl-deep's table and the determinism probe.
+        whirls = [acted_set(make_gsk(0.5, k), disk) for k in range(12)]
+        assert sum(estimate_joint_events(whirls, 12, 1000, RngStream(87)).counts) == 1000
+        probe = [acted_set(make_gsk(0.5, k), disk) for k in (0, 1)]
+        assert sum(estimate_joint_events(probe, 2, 1000, RngStream(87)).counts) == 1000
+        monkeypatch.setattr(montecarlo_module, "standard_complex", no_draw)
+        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        with pytest.raises(ValueError, match="budget"):
+            estimate_joint_events([disk], 40, 1000, RngStream(1))
+        with pytest.raises(ValueError, match="budget"):
+            estimate_joint_events([disk], 20, 1000, RngStream(1), given=LevelVector(0, [0j]))
+
     def test_json_shape(self):
         d = disk_product(0, 0j, 1.0)
         table = estimate_joint_events([d], 0, 1000, RngStream(86))
@@ -363,6 +386,7 @@ def _off_center_family():
 
 
 _GIVEN_1 = LevelVector(1, [0.4 - 0.2j, -0.6 + 0.1j])
+_GIVEN_2 = LevelVector(2, [0.3, -0.5j, 1.0 + 0.2j, 0.1])
 
 
 def _conditional_family():
@@ -519,6 +543,169 @@ class TestReadPath:
             estimate_measure(disk, 20, 1000, RngStream(101))
 
 
+def _disjoint_family():
+    """One off-center level-4 disk acted on by a level-5 element: 16 reads of
+    disjoint sibling pairs, so 16 support groups of one read each."""
+    return [acted_set(random_element(5, RngStream(113).generator()), disk_product(4, 0.3 - 0.2j, 2.2))]
+
+
+def _paired_family():
+    """Two off-center level-1 disks acted on by correlated level-3 elements:
+    four reads in two support groups of two, each with a complex correlation."""
+    gen = RngStream(114).generator()
+    g = random_element(3, gen)
+    h = compose(g, GroupElement(3, np.exp(1j * gen.uniform(0.8, 1.2, size=8))))
+    return [
+        acted_set(g, disk_product(1, [0.8 - 0.3j, -0.2 + 0.5j], 1.3)),
+        acted_set(h, disk_product(1, [-0.4 + 0.6j, 0.3 + 0.1j], 1.1)),
+    ]
+
+
+def _dense_group_family():
+    """Three acted level-0 disks through level-2 scrambling elements: three
+    reads (``3 < 4``) in one group whose factor has three off-diagonal entries."""
+    gen = RngStream(115).generator()
+    return [acted_set(random_element(2, gen), disk_product(0, 0j, 1.0)) for _ in range(3)]
+
+
+def _mixed_reads() -> np.ndarray:
+    """A ``4 x 8`` read matrix with one group of two reads and two of one:
+    rows 0 and 2 share columns 0 and 1 with correlation ``exp(-0.5j)/sqrt(2)``,
+    rows 1 and 3 read pairs of their own.  The grammar cannot build this
+    shape, because every leaf reads all of its paths and so gives every
+    subtree the same reads."""
+    a = np.zeros((4, 8), dtype=np.complex128)
+    a[0, 0:4] = np.array([1.0, 1j, -1.0, 1.0]) / 2.0
+    a[1, 4:6] = np.exp([0.3j, -1.1j]) / math.sqrt(2.0)
+    a[2, 0:2] = np.exp(0.5j) * np.array([1.0, 1j]) / math.sqrt(2.0)
+    a[3, 6:8] = np.exp([2.0j, 0.4j]) / math.sqrt(2.0)
+    return a
+
+
+class TestGroupedReads:
+    """Reads are factored per support group and applied by column updates."""
+
+    SAMPLES = 200_000
+
+    @pytest.mark.parametrize("make", [_disjoint_family, _paired_family], ids=["disjoint", "paired"])
+    def test_agree_in_law_with_full_trees(self, make):
+        events = make()
+        depth = max(e.level for e in events)
+        fast = estimate_joint_events(events, depth, self.SAMPLES, RngStream(125))
+        slow = _oracle_table(events, depth, self.SAMPLES, 126)
+        assert np.all(fast.probs > 0.01)
+        assert _max_cell_sigma(fast, slow) < 4.0
+
+    def test_groups_of_the_grammar(self):
+        for make, sizes in [(_disjoint_family, [1] * 16), (_paired_family, [2, 2]), (_dense_group_family, [3])]:
+            matrix = linear_reads(make(), 63).matrix
+            factor = ReadFactor.of(matrix, 64)
+            assert len(factor.updates) == sum(k * (k - 1) // 2 for k in sizes)
+            assert ReadFactor.of(matrix, matrix.shape[0] + len(factor.updates)) is None
+
+    def test_mixed_groups_agree_in_law_with_level_draws(self):
+        a = _mixed_reads()
+        factor = ReadFactor.of(a, 8)
+        assert [(i, j) for i, j, _ in factor.updates] == [(0, 2)]
+        # xi = z @ F is circular Gaussian with covariance F^T conj(F); the
+        # reads x @ A^T have covariance A A^H.
+        dense = np.diag(factor.diagonal)
+        dense[0, 2] = factor.updates[0][2]
+        np.testing.assert_allclose(dense.T @ dense.conj(), a @ a.conj().T, atol=1e-14)
+        on = np.eye(4, dtype=bool)
+        centers = np.array([0.5 - 0.4j, 0.3j, -0.6 + 0.2j, 0.2])
+        disks = [disk_product(2, np.where(on[j], centers, 0j), np.where(on[j], 1.1, math.inf)) for j in range(4)]
+
+        def table(draw, seed):
+            def block(gen, count):
+                xi = draw(gen, count)
+                code = np.zeros(count, dtype=np.int64)
+                for j, d in enumerate(disks):
+                    code |= d.indicator_at(xi).astype(np.int64) << j
+                return np.bincount(code, minlength=16)
+
+            counts = tally_blocks(block, self.SAMPLES, RngStream(seed), block_size=default_block_size(3))
+            return JointTable(4, tuple(int(c) for c in counts), self.SAMPLES, seed)
+
+        fast = table(lambda gen, count: factor.apply(standard_complex(gen, (count, 4)), 4), 119)
+        slow = table(lambda gen, count: standard_complex(gen, (count, 8)) @ a.T, 120)
+        assert fast.cell([1, 0, 1, 0]) > 0.01
+        assert _max_cell_sigma(fast, slow) < 4.0
+
+    def test_continuity_product_matches_the_dense_factor(self):
+        reads = linear_reads([_continuity_set()], 63)
+        dense = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
+        factor = ReadFactor.of(reads.matrix, 64)
+        z = standard_complex(RngStream(121).generator(), (4096, 2))
+        expected = z @ dense
+        xi = factor.apply(z, 2)
+        assert np.max(np.abs(xi - expected)) <= 1e-13 * np.max(np.abs(expected))
+        padded = factor.apply(z, 4)
+        np.testing.assert_array_equal(padded[:, :2], xi)
+        assert not padded[:, 2:].any()
+
+
+_BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+_PACKAGE = Path(montecarlo_module.__file__).parent
+
+
+def _blas_uses(code) -> list[str]:
+    """Matrix products in the source of one function."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{code.co_name}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append(f"{code.co_name}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+            found.append(f"{code.co_name}: {node.id}")
+    return found
+
+
+class TestNoBlasInBlocks:
+    """No block sampler that event_indicators returns runs a matrix product:
+    every function it enters, in this package or in NumPy, is checked."""
+
+    @pytest.mark.parametrize(
+        "events, given",
+        [
+            ([_continuity_set()], None),
+            ([_acted_halfspace()], None),
+            ([_affine_in_intersection()], None),
+            (_disjoint_family(), None),
+            (_paired_family(), None),
+            (_dense_group_family(), None),
+            ([halfspace(2, [1.0, -0.5j, 0.3 + 0.2j, 1j], 0.2)], None),
+            ([acted_set(make_gsk(0.5, k), disk_product(0, 0j, 1.0)) for k in range(3)], None),
+            ([acted_set(make_gsk(1.0, k), disk_product(2, 0j, 1.5)) for k in range(2, 4)], _GIVEN_2),
+            (_conditional_family(), _GIVEN_1),
+        ],
+        ids=["continuity", "halfspace-reads", "affine-reads", "disjoint", "paired", "dense-group",
+             "halfspace-level", "whirled", "whirled-given", "conditional"],
+    )
+    def test_blocks_make_no_matrix_product(self, events, given):
+        _, block = event_indicators(events, given=given)
+        codes, builtins = set(), set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                codes.add(frame.f_code)
+            elif event == "c_call":
+                builtins.add(getattr(arg, "__name__", ""))
+
+        sys.setprofile(profile)
+        try:
+            block(RngStream(122).block(0), 512)
+        finally:
+            sys.setprofile(None)
+        ours = [c for c in codes if Path(c.co_filename).parent == _PACKAGE]
+        assert any(c.co_name.endswith("_block") for c in ours)
+        assert not [u for c in ours for u in _blas_uses(c)]
+        assert not {c.co_name for c in codes} & {"einsum", "tensordot"}
+        assert not builtins & _BLAS_NAMES
+
+
 def _recorded_draws(monkeypatch, run) -> list[tuple[str, int]]:
     """Every draw ``run()`` makes through the estimators: ``("levels", depth)``,
     ``("conditional", depth)`` or ``("normals", width)``, in order."""
@@ -541,9 +728,6 @@ def _recorded_draws(monkeypatch, run) -> list[tuple[str, int]]:
     monkeypatch.setattr(montecarlo_module, "standard_complex", normals)
     run()
     return calls
-
-
-_GIVEN_2 = LevelVector(2, [0.3, -0.5j, 1.0 + 0.2j, 0.1])
 
 
 class TestSelectionRule:
@@ -590,8 +774,15 @@ class TestSelectionRule:
                 lambda: estimate_joint_events(_conditional_family(), 5, 1000, RngStream(112), given=_GIVEN_1),
                 [("conditional", 2)],
             ),
+            # Sixteen reads in groups of one: 16 + 0 < 32 draws of level 5.
+            (lambda: estimate_joint_events(_disjoint_family(), 5, 1000, RngStream(123)), [("normals", 16)]),
+            # Three reads in one group: 3 + 3 >= 4 draws of level 2.
+            (lambda: estimate_joint_events(_dense_group_family(), 2, 1000, RngStream(124)), [("levels", 2)]),
         ],
-        ids=["whirled", "whirled-given", "single-whirled", "continuity", "affine-reference", "other-family", "other-given"],
+        ids=[
+            "whirled", "whirled-given", "single-whirled", "continuity", "affine-reference", "other-family",
+            "other-given", "disjoint-reads", "dense-group",
+        ],
     )
     def test_draws(self, monkeypatch, run, draws):
         assert _recorded_draws(monkeypatch, run) == draws

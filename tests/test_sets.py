@@ -111,6 +111,22 @@ class TestHalfspace:
         exact = stats.norm.cdf(offset / np.linalg.norm(normal))
         assert abs(hit - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / count)
 
+    @pytest.mark.parametrize("level", range(8))
+    def test_membership_equals_the_inner_product(self, level):
+        width = 1 << level
+        gen = RngStream(63).generator()
+        normal = gen.normal(size=width) + 1j * gen.normal(size=width)
+        x = _draws(70 + level, 3000, level)
+        dot = (x @ np.conj(normal)).real
+        offset = float(np.median(dot))
+        h = halfspace(level, normal, offset)
+        # Sibling-pair sums round differently from the matvec: rows within
+        # that rounding of the boundary may fall on either side.
+        clear = np.abs(dot - offset) > 1e-13 * (np.abs(x) @ np.abs(normal))
+        assert clear.mean() > 0.99
+        np.testing.assert_array_equal(h.indicator_at(x)[clear], (dot <= offset)[clear])
+        np.testing.assert_array_equal(h.indicator_at(x[::2])[clear[::2]], (dot <= offset)[::2][clear[::2]])
+
     def test_boundary_is_included(self):
         h = halfspace(0, 1.0 + 0j, 0.0)
         assert h.indicator_at(np.array([[0.0 + 5j]]))[0]
