@@ -26,6 +26,7 @@ from scipy import optimize
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
 from .montecarlo import (
     MIN_SAMPLES,
+    block_buffer,
     block_plan,
     default_block_size,
     estimate_joint_events,
@@ -362,6 +363,10 @@ def verify_convolution(
     ``(x, y)`` independent level vectors, hit when ``(x - a*y)/sqrt(1+a**2)``
     lies in ``K``.  The right side is the direct estimator on fresh samples.
     The two must agree within 3 combined standard errors.
+
+    A block draws ``x`` and ``y`` into its worker's buffers and computes
+    ``(x - a*y)/sqrt(1+a**2)`` in place in ``y``, by the same operations as
+    the expression, so with the same bits.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
@@ -371,9 +376,11 @@ def verify_convolution(
     scale = math.sqrt(1.0 + a * a)
 
     def fubini_block(gen: np.random.Generator, count: int) -> np.ndarray:
-        x = standard_complex(gen, (count, width))
-        y = standard_complex(gen, (count, width))
-        hits = target.indicator_at(_div_real(x - a * y, scale))
+        x = standard_complex(gen, (count, width), out=block_buffer("fubini_x", (count, width)))
+        y = standard_complex(gen, (count, width), out=block_buffer("fubini_y", (count, width)))
+        np.multiply(a, y, out=y)
+        np.subtract(x, y, out=y)
+        hits = target.indicator_at(_div_real(y, scale))
         return np.array([int(np.count_nonzero(hits))], dtype=np.int64)
 
     fubini_hits = int(
@@ -521,17 +528,20 @@ def _translated_hits(
     ``(count, inner_samples, 2**L)`` from block ``i`` of ``rng.child(2)``;
     ``z`` number ``j`` takes row ``j - i*per_block`` of it, ``inner_samples``
     fresh standard level vectors ``w``, and hits when
-    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.
+    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.  Every block draws ``w``
+    into the leading rows of one buffer the scan allocates once.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, width))
     inner_stream = rng.child(2)
     per_block = max(1, default_block_size(target.level) // inner_samples)
+    plan = block_plan(z_samples, per_block)
+    buffer = np.empty((plan[0][1], inner_samples, width), dtype=np.complex128)
     hits = np.empty(z_samples, dtype=np.int64)
-    for index, count in block_plan(z_samples, per_block):
+    for index, count in plan:
         rows = slice(index * per_block, index * per_block + count)
-        w = standard_complex(inner_stream.block(index), (count, inner_samples, width))
+        w = standard_complex(inner_stream.block(index), (count, inner_samples, width), out=buffer[:count])
         w -= a * zs[rows, None, :]
         inside = target.indicator_at(_div_real(w, scale).reshape(count * inner_samples, width))
         hits[rows] = np.count_nonzero(inside.reshape(count, inner_samples), axis=1)

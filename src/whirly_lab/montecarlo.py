@@ -30,6 +30,16 @@ family's deepest level, that of its padded reads, or level ``N + 1`` in
 innovation coordinates).  It is also never read from the machine (its cache
 sizes, its core count), because the block plan decides which draws each
 sample gets.
+
+Block buffers: during one :func:`tally_blocks` call each worker thread (the
+calling thread when ``workers=1``, each pool thread otherwise) holds an arena
+of arrays, and every sampling block draws into its worker's arrays through
+:func:`block_buffer` instead of fresh ones.  A fresh 1 MB array arrives as
+zero pages that the kernel faults in on first write, once per block; a reused
+one is already mapped (README, "Hot-path kernels").  The arena is dropped when
+the tally returns or raises, so nothing is held between calls, and outside a
+tally :func:`block_buffer` returns fresh memory.  The buffers change where the
+draws land, never their values.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -84,6 +95,37 @@ def block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
     return [(i, min(block_size, samples - i * block_size)) for i in range(blocks)]
 
 
+# The arena of the tally worker running on this thread, or None outside a
+# tally.  It rides on the thread because a block function gets only
+# ``(gen, count)``.
+_worker = threading.local()
+
+
+def _open_arena() -> None:
+    _worker.arena = {}
+
+
+def block_buffer(slot: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous complex128 array of ``shape`` for a
+    sampling block to draw into.
+
+    Inside :func:`tally_blocks` it is the running worker's array for ``slot``:
+    allocated on first use, reused by the worker's later blocks, and cut to
+    its leading rows for a block with fewer rows, such as a short last block.
+    A request with other trailing dimensions or more rows replaces it.
+    Outside a tally it is a fresh array, so nothing a caller keeps aliases a
+    buffer.
+    """
+    shape = tuple(shape)
+    arena = getattr(_worker, "arena", None)
+    if arena is None:
+        return np.empty(shape, dtype=np.complex128)
+    held = arena.get(slot)
+    if held is None or held.shape[1:] != shape[1:] or held.shape[0] < shape[0]:
+        held = arena[slot] = np.empty(shape, dtype=np.complex128)
+    return held[: shape[0]]
+
+
 def tally_blocks(
     block_fn: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
@@ -98,6 +140,13 @@ def tally_blocks(
     only on the generator state and ``count``.  Blocks are laid out by index
     and block ``i`` uses ``rng.block(i)``, so the total is independent of
     ``workers``.
+
+    Each worker, the calling thread when ``workers <= 1`` and each pool
+    thread otherwise, holds its own arena of :func:`block_buffer` arrays for
+    the span of this call.  The calling thread's arena is dropped when the
+    call returns or raises; a pool thread's ends with the thread, when the
+    pool shuts down before the call returns.  A block must therefore return
+    nothing that aliases a buffer.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -111,9 +160,13 @@ def tally_blocks(
         return out
 
     if workers <= 1:
-        results = [run(task) for task in plan]
+        _open_arena()
+        try:
+            results = [run(task) for task in plan]
+        finally:
+            _worker.arena = None
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_open_arena) as pool:
             results = list(pool.map(run, plan))
     total = results[0].copy()
     for part in results[1:]:
@@ -367,7 +420,7 @@ def event_indicators(
 
     def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:
         if given is None:
-            return sample_levels(to, count, gen)
+            return sample_levels(to, count, gen, out=block_buffer("levels", (count, 1 << to)))
         return conditional_levels(given.entries, given.level, to, count, gen)
 
     plan = _innovation_copies(events, given)
@@ -381,7 +434,8 @@ def event_indicators(
             x = levels_to(level, gen, count)[level]
             out = np.empty((len(events), count), dtype=bool)
             for bit in sorted(by_bit):
-                w = refine(x, standard_complex(gen, x.shape))
+                u = standard_complex(gen, x.shape, out=block_buffer("innovation", x.shape))
+                w = refine(x, u)
                 for j in by_bit[bit]:
                     out[j] = copies[j].indicator_at(w)
             return out
@@ -397,7 +451,8 @@ def event_indicators(
         read_level = reads.reduced[0].level
 
         def read_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            xi = factor.apply(standard_complex(gen, (count, rows)), 1 << read_level)
+            z = standard_complex(gen, (count, rows), out=block_buffer("reads", (count, rows)))
+            xi = factor.apply(z, 1 << read_level)
             return np.stack([r.indicator_at(xi) for r in reads.reduced])
 
         return default_block_size(read_level), read_block
@@ -494,7 +549,7 @@ def estimate_joint_events(
     counts = tally_blocks(block, samples, rng, block_size=block_size, workers=workers)
     return JointTable(
         n_events=n_events,
-        counts=tuple(int(c) for c in counts),
+        counts=tuple(counts.tolist()),
         samples=samples,
         seed=rng.master_seed,
     )

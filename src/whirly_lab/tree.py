@@ -159,13 +159,27 @@ class ComplexGaussianConvention:
         return float(stats.ncx2.cdf(radius * radius, 2, offset * offset))
 
 
-def standard_complex(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def standard_complex(
+    gen: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw standard complex Gaussians of the given shape.
 
     Each value takes two consecutive normals, real part first, read in place
-    as one complex128.
+    as one complex128.  With ``out``, a C-contiguous complex128 array of
+    ``shape``, the normals fill its float64 view in the same order, so the
+    values equal those of a fresh draw from the same generator state; ``out``
+    is returned.
     """
-    return gen.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    shape = tuple(shape)
+    if out is None:
+        return gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    if out.dtype != np.complex128 or out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    gen.standard_normal(out=out.view(np.float64))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +353,10 @@ def _levels_from_leaves(leaves: np.ndarray) -> list[np.ndarray]:
 
 
 def sample_levels(
-    depth: int, count: int, rng: "RngStream | np.random.Generator"
+    depth: int,
+    count: int,
+    rng: "RngStream | np.random.Generator",
+    out: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Vectorized sampler: ``count`` independent realizations to ``depth``.
 
@@ -351,14 +368,16 @@ def sample_levels(
     of the root-first recursion.  Both draw ``2**depth`` values per
     realization; leaf-first draws them in one call and computes one value
     per parent node, where :func:`refine` computes and interleaves two per
-    child pair.  Results are reproducible for a given stream.
+    child pair.  Results are reproducible for a given stream.  With ``out``
+    the leaves are drawn into it (see :func:`standard_complex`), and the
+    returned level ``depth`` is ``out``.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if count <= 0:
         raise ValueError("count must be positive")
     check_sampler_budget(depth, count)
-    return _levels_from_leaves(standard_complex(as_generator(rng), (count, 1 << depth)))
+    return _levels_from_leaves(standard_complex(as_generator(rng), (count, 1 << depth), out))
 
 
 def conditional_levels(

@@ -46,3 +46,33 @@ def test_quick_continuity_is_pinned():
     criterion = next(c for c in CRITERIA if c.key == "continuity")
     report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
     assert report.observed == _QUICK_CONTINUITY
+
+
+# The convolution and positivity criteria's observed values at scale 0.1 and
+# the pinned seed.  Their blocks draw into reused buffers and compute the
+# translated sets in place, which must leave every bit of these unchanged.
+_QUICK_CONVOLUTION = {
+    "max_sigma": 0.887539802727711,
+    "max_anchor_deviation": 0.000830699999999962,
+    "anchor": 0.3934693,
+}
+
+_QUICK_POSITIVITY = {
+    "base_measure": 0.418,
+    "fraction_positive": 1.0,
+    "min_translated": 0.002,
+    "median_translated": 0.501,
+    "delta_at_50": 0.501,
+    "delta_at_75": 0.19974999999999998,
+    "delta_at_87": 0.013909655952860997,
+    "delta_at_95": 0.005800000000000003,
+}
+
+
+@pytest.mark.parametrize(
+    "key, observed", [("convolution", _QUICK_CONVOLUTION), ("positivity", _QUICK_POSITIVITY)]
+)
+def test_quick_translated_measures_are_pinned(key, observed):
+    criterion = next(c for c in CRITERIA if c.key == key)
+    report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
+    assert report.observed == observed

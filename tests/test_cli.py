@@ -104,7 +104,7 @@ class TestEstimateCommand:
         assert out1 == out4
 
     def test_oversized_depth_exits_two_before_drawing(self, capsys, monkeypatch):
-        def no_draw(gen, shape):
+        def no_draw(gen, shape, out=None):
             raise AssertionError("drew before checking the budget")
 
         monkeypatch.setattr(tree_module, "standard_complex", no_draw)

@@ -230,9 +230,9 @@ class TestTranslatedScan:
     def test_blocks_draw_whole_z_within_the_cache_budget(self, monkeypatch):
         shapes = []
 
-        def recording(gen, shape):
+        def recording(gen, shape, out=None):
             shapes.append(tuple(shape))
-            return standard_complex(gen, shape)
+            return standard_complex(gen, shape, out)
 
         monkeypatch.setattr(experiments_module, "standard_complex", recording)
         cases = [

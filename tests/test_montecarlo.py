@@ -5,6 +5,8 @@ import inspect
 import math
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from whirly_lab import (
     tally_blocks,
     wilson_interval,
 )
-from whirly_lab.montecarlo import ReadFactor
+from whirly_lab.montecarlo import ReadFactor, block_buffer
 
 
 class TestRngStream:
@@ -114,6 +116,93 @@ class TestTallyBlocks:
             # 2**17 complex values are 2 MB; only the 64-sample floor may exceed it.
             assert values <= 1 << 17 or size == 64, depth
         assert default_block_size(0) == 1 << 16
+
+
+class TestBlockArena:
+    """Each tally worker draws into buffers it reuses across its blocks, and
+    no buffer outlives the tally or is shared by two workers."""
+
+    def test_one_worker_reuses_its_leaf_array_across_blocks(self, monkeypatch):
+        leaves = []
+
+        def recording(depth, count, gen, out=None):
+            levels = sample_levels(depth, count, gen, out)
+            leaves.append(levels[-1])
+            return levels
+
+        monkeypatch.setattr(montecarlo_module, "sample_levels", recording)
+        # The affine image reads its whole level 2: blocks of 16384, 16384 and 7232.
+        target = affine_image(disk_product(2, 0j, 1.5), 2.0, 0.3 + 0j)
+        estimate_measure(target, 2, 40_000, RngStream(140))
+        assert [leaf.shape[0] for leaf in leaves] == [16384, 16384, 7232]
+        assert all(np.shares_memory(leaves[0], leaf) for leaf in leaves[1:])
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_never_share_a_buffer(self, workers):
+        seen: dict[int, set[int]] = {}
+        lock = threading.Lock()
+
+        def block(gen, count):
+            buffer = block_buffer("x", (count, 8))
+            mark = gen.standard_normal()
+            buffer[:] = mark
+            time.sleep(0.001)
+            with lock:
+                seen.setdefault(buffer.__array_interface__["data"][0], set()).add(threading.get_ident())
+            # A buffer another worker wrote into meanwhile would have lost the mark.
+            return np.array([count, int(np.all(buffer == mark))], dtype=np.int64)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            total = tally_blocks(block, 40 * 64 - 5, RngStream(141), block_size=64, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert total.tolist() == [40 * 64 - 5, 40]
+        assert all(len(threads) == 1 for threads in seen.values())
+        assert len(seen) == len(set().union(*seen.values())) > 1
+
+    def test_no_arena_is_held_after_the_tally(self):
+        kept = []
+
+        def block(gen, count):
+            kept.append(block_buffer("x", (count, 4)))
+            return np.array([count], dtype=np.int64)
+
+        tally_blocks(block, 1000, RngStream(142), block_size=300)
+        assert getattr(montecarlo_module._worker, "arena", None) is None
+        assert all(np.shares_memory(kept[0], k) for k in kept[1:])
+        assert not np.shares_memory(block_buffer("x", (300, 4)), kept[0])
+
+    def test_no_arena_is_held_after_a_block_raises(self):
+        def block(gen, count):
+            block_buffer("x", (count, 4))
+            raise RuntimeError("block failed")
+
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="block failed"):
+                tally_blocks(block, 1000, RngStream(143), block_size=300, workers=workers)
+            assert getattr(montecarlo_module._worker, "arena", None) is None
+
+    def test_outside_a_tally_every_buffer_is_fresh(self):
+        a = block_buffer("x", (16, 4))
+        b = block_buffer("x", (16, 4))
+        assert a.shape == (16, 4) and a.dtype == np.complex128 and a.flags.c_contiguous
+        assert not np.shares_memory(a, b)
+
+    def test_a_sampler_called_outside_a_tally_draws_fresh_leaves(self, monkeypatch):
+        leaves = []
+
+        def recording(depth, count, gen, out=None):
+            levels = sample_levels(depth, count, gen, out)
+            leaves.append(levels[-1])
+            return levels
+
+        monkeypatch.setattr(montecarlo_module, "sample_levels", recording)
+        _, block = event_indicators([affine_image(disk_product(2, 0j, 1.5), 2.0, 0.3 + 0j)])
+        block(RngStream(144).block(0), 256)
+        block(RngStream(144).block(1), 256)
+        assert len(leaves) == 2 and not np.shares_memory(leaves[0], leaves[1])
 
 
 class TestWilson:
@@ -243,7 +332,7 @@ class TestJointEvents:
             estimate_joint_events([d] * 13, 0, 1000, RngStream(85))
 
     def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
-        def no_draw(gen, shape):
+        def no_draw(gen, shape, out=None):
             raise AssertionError("drew before checking the budget")
 
         disk = disk_product(0, 0j, 1.0)
@@ -503,9 +592,9 @@ class TestReadPath:
     def test_draws_only_the_reads(self, monkeypatch):
         shapes = []
 
-        def recording(gen, shape):
+        def recording(gen, shape, out=None):
             shapes.append(shape)
-            return standard_complex(gen, shape)
+            return standard_complex(gen, shape, out)
 
         def refuse(*args, **kwargs):
             raise AssertionError("drew a level vector")
@@ -519,9 +608,9 @@ class TestReadPath:
     def test_sets_that_read_their_whole_level_draw_only_that_level(self, monkeypatch):
         depths = []
 
-        def recording(depth, count, gen):
+        def recording(depth, count, gen, out=None):
             depths.append(depth)
-            return sample_levels(depth, count, gen)
+            return sample_levels(depth, count, gen, out)
 
         monkeypatch.setattr(montecarlo_module, "sample_levels", recording)
         # The affine image reads all four level-2 values.
@@ -530,7 +619,7 @@ class TestReadPath:
         assert set(depths) == {2}
 
     def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
-        def no_draw(gen, shape):
+        def no_draw(gen, shape, out=None):
             raise AssertionError("drew before checking the budget")
 
         disk = disk_product(0, 0j, 1.0)
@@ -711,17 +800,17 @@ def _recorded_draws(monkeypatch, run) -> list[tuple[str, int]]:
     ``("conditional", depth)`` or ``("normals", width)``, in order."""
     calls = []
 
-    def levels(depth, count, gen):
+    def levels(depth, count, gen, out=None):
         calls.append(("levels", depth))
-        return sample_levels(depth, count, gen)
+        return sample_levels(depth, count, gen, out)
 
     def conditional(entries, level, depth, count, gen):
         calls.append(("conditional", depth))
         return conditional_levels(entries, level, depth, count, gen)
 
-    def normals(gen, shape):
+    def normals(gen, shape, out=None):
         calls.append(("normals", shape[1]))
-        return standard_complex(gen, shape)
+        return standard_complex(gen, shape, out)
 
     monkeypatch.setattr(montecarlo_module, "sample_levels", levels)
     monkeypatch.setattr(montecarlo_module, "conditional_levels", conditional)

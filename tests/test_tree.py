@@ -89,8 +89,42 @@ class TestSampling:
         np.testing.assert_array_equal(draws.real, parts[..., 0])
         np.testing.assert_array_equal(draws.imag, parts[..., 1])
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 4), (3, 6, 2)], ids=["n", "count-w", "count-inner-w"])
+    def test_standard_complex_into_out_is_the_fresh_draw(self, shape):
+        gen = RngStream(12).generator()
+        fresh = standard_complex(gen, shape)
+        after_fresh = gen.standard_normal()
+        out = np.full(shape, np.nan, dtype=np.complex128)
+        gen = RngStream(12).generator()
+        assert standard_complex(gen, shape, out) is out
+        assert out.tobytes() == fresh.tobytes()
+        # The generator is left where the fresh draw leaves it.
+        assert gen.standard_normal() == after_fresh
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 6), dtype=np.complex128)[:, ::2],
+            np.empty((4, 3), dtype=np.complex64),
+            np.empty((4, 6), dtype=np.float64),
+            np.empty((3, 4), dtype=np.complex128),
+            np.empty((12,), dtype=np.complex128),
+        ],
+        ids=["strided", "complex64", "float64", "transposed-shape", "flat"],
+    )
+    def test_standard_complex_refuses_a_wrong_out(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            standard_complex(RngStream(12).generator(), (4, 3), out)
+
+    def test_sample_levels_draws_its_leaves_into_out(self):
+        out = np.empty((5, 8), dtype=np.complex128)
+        levels = sample_levels(3, 5, RngStream(35), out)
+        assert levels[3] is out
+        for x, y in zip(levels, sample_levels(3, 5, RngStream(35))):
+            np.testing.assert_array_equal(x, y)
+
     def test_oversized_requests_are_refused_before_any_draw(self, monkeypatch):
-        def no_draw(gen, shape):
+        def no_draw(gen, shape, out=None):
             raise AssertionError("drew before checking the budget")
 
         monkeypatch.setattr(tree_module, "standard_complex", no_draw)
