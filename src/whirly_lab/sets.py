@@ -46,6 +46,11 @@ from .tree import (
 
 disk_mass = ComplexGaussianConvention.disk_mass
 
+# Widest row that DiskProduct tests one column at a time.  At 64k values per
+# block the column loop is faster up to 16 entries and the broadcast from 32
+# on (README, "Hot-path kernels").
+_COLUMN_WIDTH = 16
+
 
 # ---------------------------------------------------------------------------
 # base class
@@ -145,13 +150,21 @@ class DiskProduct(BorelSet):
         self.radii = radii
 
     def _member(self, x: np.ndarray) -> np.ndarray:
-        # AND sibling columns pairwise: each step is one long loop over the
-        # batch, where a reduction along the 2**level-wide rows runs one short
-        # loop per row.
-        inside = np.abs(x - self.centers) < self.radii
-        while inside.shape[1] > 1:
-            inside = inside[:, 0::2] & inside[:, 1::2]
-        return inside[:, 0]
+        # Every step runs as long loops over the batch.  Broadcasting the
+        # per-column centers and radii along a narrow row runs one short inner
+        # loop per row, so rows of up to _COLUMN_WIDTH entries are tested one
+        # column at a time; wider rows broadcast, then AND sibling columns
+        # pairwise instead of reducing along the row.
+        c, r = self.centers, self.radii
+        if x.shape[1] > _COLUMN_WIDTH:
+            inside = np.abs(x - c) < r
+            while inside.shape[1] > 1:
+                inside = inside[:, 0::2] & inside[:, 1::2]
+            return inside[:, 0]
+        inside = np.abs(x[:, 0] - c[0]) < r[0]
+        for j in range(1, x.shape[1]):
+            inside &= np.abs(x[:, j] - c[j]) < r[j]
+        return inside
 
     def to_json(self) -> dict:
         return {

@@ -436,12 +436,14 @@ def project_vectors(x: np.ndarray, from_level: int, to_level: int) -> np.ndarray
     ``2**k`` descendants, ``k = from_level - to_level``.  Shape
     ``(batch, 2**from_level) -> (batch, 2**to_level)``.
 
-    Summation order: ``k`` folds of sibling pairs, each
-    ``x[:, 0::2] + x[:, 1::2]`` over the whole batch, then one multiplication
-    by ``2**(-k/2)``, so the ``2**k`` descendants are added as a balanced
-    binary tree, not left to right.  For ``k = 1`` the result is exact to the
-    operation: ``(x[2i] + x[2i+1]) * 2**-0.5`` with one rounding for each of
-    the two steps, the same as any other order.
+    Summation order: ``k`` folds of sibling pairs, each adding the two
+    columns of the batch's flat ``reshape(-1, 2)`` view (the pairs of
+    ``x[:, 0::2] + x[:, 1::2]``, in one long loop), then one multiplication
+    by ``2**(-k/2)`` in place, so the ``2**k`` descendants are added as a
+    balanced binary tree, not left to right.  For ``k = 1`` the result is
+    exact to the operation: ``(x[2i] + x[2i+1]) * 2**-0.5`` with one rounding
+    for each of the two steps, the same as any other order.  A batch that is
+    not C-contiguous is copied by the first reshape.
     """
     if to_level > from_level:
         raise LevelMismatchError("cannot project to a finer level")
@@ -454,9 +456,12 @@ def project_vectors(x: np.ndarray, from_level: int, to_level: int) -> np.ndarray
     k = from_level - to_level
     if k == 0:
         return x
+    rows = x.shape[0]
     for _ in range(k):
-        x = x[:, 0::2] + x[:, 1::2]
-    return x * (2.0 ** (-0.5 * k))
+        pairs = x.reshape(-1, 2)
+        x = pairs[:, 0] + pairs[:, 1]
+    x *= 2.0 ** (-0.5 * k)
+    return x.reshape(rows, 1 << to_level)
 
 
 def project(tree: TreeSample, n: int) -> LevelVector:

@@ -31,7 +31,7 @@ from whirly_lab import (
     standard_complex,
     symmetric_difference,
 )
-from whirly_lab.sets import AffineImage, BorelSet
+from whirly_lab.sets import _COLUMN_WIDTH, AffineImage, BorelSet
 
 
 def _draws(seed: int, count: int, level: int) -> np.ndarray:
@@ -93,6 +93,11 @@ class TestDiskProduct:
         np.testing.assert_array_equal(disk.indicator_at(x[::2]), expected[::2])
         assert not expected[:3].any() and expected[3] and not expected[4:6].any()
         assert 0 < expected[6:].sum() < expected[6:].size
+
+    def test_row_reduction_levels_span_the_column_crossover(self):
+        # test_membership_equals_row_reduction runs levels 0 to 7, so it checks
+        # both the column loop and the broadcast form of DiskProduct._member.
+        assert 1 <= _COLUMN_WIDTH < 1 << 7
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):

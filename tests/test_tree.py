@@ -192,6 +192,20 @@ class TestProjection:
             terms = np.abs(x).reshape(500, 4, 1 << k).sum(axis=2) * scale
             assert np.all(np.abs(folded - reference) <= 1e-15 * terms)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "draw-view"])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_flat_fold_is_the_sibling_fold_bit_for_bit(self, k, layout):
+        draws = standard_complex(RngStream(16).generator(), (600, 4 << k))
+        assert not draws.flags.owndata
+        x = {"contiguous": draws.copy(), "strided": draws[::2], "draw-view": draws}[layout]
+        expected = x
+        for _ in range(k):
+            expected = expected[:, 0::2] + expected[:, 1::2]
+        expected = expected * 2.0 ** (-0.5 * k)
+        folded = project_vectors(x, k + 2, 2)
+        assert folded.shape == expected.shape
+        np.testing.assert_array_equal(folded.view(np.uint64), expected.view(np.uint64))
+
     def test_refine_is_the_closed_form(self):
         gen = RngStream(13).generator()
         parent = standard_complex(gen, (300, 8))
