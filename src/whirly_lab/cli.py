@@ -386,7 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--z-samples", type=int, default=200)
-    p.add_argument("--inner-samples", type=int, default=10_000)
+    p.add_argument(
+        "--inner-samples",
+        type=int,
+        default=10_000,
+        help="level vectors per scanned z in the constants phase, and the least size of the base "
+        "estimate; a disk-product set's translated measures are exact, so for it only the base estimate",
+    )
     _add_common(p, workers=True)
     p.set_defaults(run=cmd_whirly_search)
 

@@ -36,7 +36,15 @@ from .montecarlo import (
     wilson_interval,
 )
 from .rng import RngStream
-from .sets import BorelSet, acted_set, affine_image, disk_mass, disk_product, symmetric_difference
+from .sets import (
+    BorelSet,
+    DiskProduct,
+    acted_set,
+    affine_image,
+    disk_mass,
+    disk_product,
+    symmetric_difference,
+)
 from .tree import (
     MAX_SAMPLER_VALUES,
     LevelVector,
@@ -520,7 +528,11 @@ def _translated_hits(
 ) -> np.ndarray:
     """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each.
 
-    The ``z`` are standard level vectors drawn from ``rng.child(1)``.  They
+    The Monte Carlo scan behind :func:`positivity_scan`, and behind
+    :func:`whirly_search` for every target but a disk product, whose measures
+    :func:`_translated_measures` computes exactly; the tests hold those to
+    this scan.  The ``z`` are standard level vectors drawn from
+    ``rng.child(1)``.  They
     are scanned in blocks of ``per_block = max(1, default_block_size(L) //
     inner_samples)`` consecutive ``z``, ``L`` the set's level, so a block holds
     at most ``2**16`` level values unless one ``z``'s samples alone exceed
@@ -546,6 +558,32 @@ def _translated_hits(
         inside = target.indicator_at(_div_real(w, scale).reshape(count * inner_samples, width))
         hits[rows] = np.count_nonzero(inside.reshape(count, inner_samples), axis=1)
     return hits
+
+
+def _translated_measures(
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
+) -> np.ndarray:
+    """Per-``z`` measures of ``sqrt(1+a**2)*K + a*z``, on the ``z`` of
+    :func:`_translated_hits` (same stream, same shape).
+
+    For a :class:`~whirly_lab.sets.DiskProduct` the measure is exact: a
+    standard level vector ``w`` lies in the translate when every entry has
+    ``|w_i - (a*z_i + s*c_i)| < s*r_i``, ``s = sqrt(1+a**2)``, and the
+    squared distance of a standard complex Gaussian from a point ``mu`` is
+    noncentral chi-square with 2 degrees of freedom and noncentrality
+    ``|mu|**2`` (see :class:`~whirly_lab.tree.ComplexGaussianConvention`).  So
+    the measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)``, and
+    only the ``z`` are drawn.  Any other set is estimated by the Monte Carlo
+    scan, ``_translated_hits(...) / inner_samples``.
+    """
+    if not isinstance(target, DiskProduct):
+        return _translated_hits(target, a, z_samples, inner_samples, rng) / inner_samples
+    from scipy.special import chndtr  # scipy.stats has already imported it
+
+    scale = math.sqrt(1.0 + a * a)
+    zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
+    offsets = np.abs(a * zs + scale * target.centers)
+    return np.prod(chndtr(np.square(scale * target.radii), 2, np.square(offsets)), axis=1)
 
 
 def positivity_scan(
@@ -626,13 +664,16 @@ def whirly_search(
     """Search for whirling elements of strength ``epsilon`` whose translates
     of ``K`` pile up to measure above ``1 - epsilon``.
 
-    Constants phase: with ``a = -1/epsilon``, scan random level vectors ``z``
-    and find the largest ``delta`` such that the translated measure
-    ``sqrt(1+a**2)*K + a*z`` exceeds ``delta`` for more than a
-    ``sqrt(1-epsilon/2)`` fraction of ``z``, each ``z`` measured on
-    ``inner_samples`` level vectors from the block of ``rng.child(2)`` that
-    holds it (see :func:`_translated_hits`); from ``delta`` derive the union
-    length ``m`` that the constants guarantee.  Search phase: for each base
+    Constants phase: with ``a = -1/epsilon``, draw ``z_samples`` random level
+    vectors ``z`` from ``rng.child(1)`` and find the largest ``delta`` such
+    that the translated measure ``sqrt(1+a**2)*K + a*z`` exceeds ``delta``
+    for more than a ``sqrt(1-epsilon/2)`` fraction of ``z``; from ``delta``
+    derive the union length ``m`` that the constants guarantee.  For a disk
+    product the measure of each ``z`` is exact, a product of noncentral
+    chi-square CDFs, and ``inner_samples`` sizes only the base estimate; any
+    other ``K`` is measured on ``inner_samples`` level vectors per ``z``, from
+    the block of ``rng.child(2)`` that holds it (see
+    :func:`_translated_measures`).  Search phase: for each base
     level ``n`` up to ``max_depth``, estimate the measures of the unions of
     the first ``m`` whirled copies ``g(epsilon, k) . K`` for ``k = n ..
     n+m-1`` (all prefixes share one sample set, so the reported union curve is
@@ -644,9 +685,10 @@ def whirly_search(
     soon as one union clears ``1 - epsilon`` by three standard errors;
     exhausting ``max_depth`` is reported as a failure, not an exception.  A
     ``max_depth`` whose elements would hold more than
-    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or a constants phase
-    whose draws would not fit that budget, is refused with a ``ValueError``
-    before anything is drawn or built.
+    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or ``z_samples`` or
+    ``inner_samples`` level vectors that would not fit that budget in one
+    draw (checked for every ``K``, disk products included), is refused with a
+    ``ValueError`` before anything is drawn or built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -673,16 +715,19 @@ def whirly_search(
 
     # Constants phase.
     needed_fraction = math.sqrt(1.0 - epsilon / 2.0)
-    translated = _translated_hits(target, -1.0 / epsilon, z_samples, inner_samples, rng) / inner_samples
+    translated = _translated_measures(target, -1.0 / epsilon, z_samples, inner_samples, rng)
     ordered = np.sort(translated)[::-1]
     rank = min(int(needed_fraction * z_samples) + 1, z_samples)
     delta = float(ordered[rank - 1])
+    m_theory: int | None = None  # constants are uninformative; search every feasible length
     if delta >= 1.0:
-        m_theory: int | None = 1
+        m_theory = 1
     elif delta > 0.0:
-        m_theory = max(1, math.ceil(math.log(1.0 - needed_fraction) / math.log(1.0 - delta)))
-    else:
-        m_theory = None  # constants are uninformative; search every feasible length
+        # An exact delta can lie below 2**-53, where log(1 - delta) is 0, or
+        # so far below it that the length overflows a float.
+        length = math.log(1.0 - needed_fraction) / math.log1p(-delta)
+        if math.isfinite(length):
+            m_theory = max(1, math.ceil(length))
 
     # Search phase.
     found = False

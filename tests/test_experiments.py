@@ -11,6 +11,8 @@ from whirly_lab import (
     ExperimentReport,
     LevelVector,
     RngStream,
+    affine_image,
+    boolean_combine,
     default_block_size,
     disk_mass,
     disk_product,
@@ -191,7 +193,8 @@ class TestPositivity:
 
 
 class TestTranslatedScan:
-    """The blocked fiber scan behind ``positivity_scan`` and ``whirly_search``.
+    """The blocked fiber scan behind ``positivity_scan``, and the exact
+    measures that replace it in ``whirly_search`` for disk products.
 
     40 z of 2000 inner samples fill blocks of 32 and 8 z at level 0, and of
     16, 16 and 8 z at level 1, so every test reaches a partial last block.
@@ -199,23 +202,36 @@ class TestTranslatedScan:
 
     Z_SAMPLES = 40
     INNER = 2000
-    # Two sets of 40 z: 80 comparisons.  A two-sided 4.5-sigma limit on each
-    # keeps the family-wise false-alarm rate under 80 * 6.8e-6 = 5.4e-4.
+    # Four sets of 40 z: 160 comparisons.  A two-sided 4.5-sigma limit on each
+    # keeps the family-wise false-alarm rate under 160 * 6.8e-6 = 1.1e-3.
     SIGMA = 4.5
 
-    def _sigmas(self, centers, radius, a, seed):
-        """Per-z deviation of the hit fraction from the closed form
-        ``prod disk_mass(s*r, |a*z + s*c|)``, ``s = sqrt(1 + a**2)``, in
-        binomial standard errors."""
+    @staticmethod
+    def _disk_mass_product(target, a, zs):
+        """Per-row ``prod disk_mass(s*r, |a*z + s*c|)``, ``s = sqrt(1 + a**2)``:
+        the translated measures of a disk product, one entry at a time."""
+        s = math.sqrt(1.0 + a * a)
+        return np.array(
+            [
+                math.prod(disk_mass(s * r, abs(a * zi + s * c)) for zi, c, r in zip(z, target.centers, target.radii))
+                for z in zs
+            ]
+        )
+
+    def _sigmas(self, centers, radius, a, seed, *, exact=False):
+        """Per-z deviation of the hit fraction from the closed form, in
+        binomial standard errors.  The closed form is the disk-mass product,
+        or with ``exact`` the constants phase's ``_translated_measures`` on
+        the same z."""
         level = (len(centers) - 1).bit_length()
         target = disk_product(level, np.asarray(centers), radius)
         rng = RngStream(seed)
         hits = experiments_module._translated_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
-        zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
-        s = math.sqrt(1.0 + a * a)
-        p = np.array(
-            [math.prod(disk_mass(s * radius, abs(a * zi + s * c)) for zi, c in zip(z, centers)) for z in zs]
-        )
+        if exact:
+            p = experiments_module._translated_measures(target, a, self.Z_SAMPLES, self.INNER, rng)
+        else:
+            zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
+            p = self._disk_mass_product(target, a, zs)
         return (hits / self.INNER - p) / np.sqrt(p * (1.0 - p) / self.INNER)
 
     def test_level_0_hits_follow_the_closed_form(self):
@@ -226,6 +242,24 @@ class TestTranslatedScan:
     def test_level_1_hits_follow_the_closed_form(self):
         sigmas = self._sigmas([0.7 + 0.2j, -0.5 - 0.6j], 1.8, -0.8, 131)
         assert np.max(np.abs(sigmas)) < self.SIGMA
+
+    def test_hits_follow_the_exact_measures_on_the_same_z(self):
+        # Off-center disks and both signs of a: a flipped sign or a dropped
+        # center term in the exact measures moves them by many sigma.
+        for centers, radius, a, seed in (([0.6 - 0.4j], 1.5, 1.0, 133), ([0.7 + 0.2j, -0.5 - 0.6j], 1.8, -0.8, 134)):
+            sigmas = self._sigmas(centers, radius, a, seed, exact=True)
+            assert np.max(np.abs(sigmas)) < self.SIGMA
+
+    @pytest.mark.parametrize("a", [-1.3, 0.7])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_exact_measures_are_the_disk_mass_product(self, level, a):
+        gen = np.random.default_rng(135 + level)
+        width = 1 << level
+        target = disk_product(level, 0.6 * standard_complex(gen, (width,)), 0.8 + gen.random(width))
+        rng = RngStream(135)
+        exact = experiments_module._translated_measures(target, a, self.Z_SAMPLES, self.INNER, rng)
+        zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
+        np.testing.assert_allclose(exact, self._disk_mass_product(target, a, zs), rtol=1e-12, atol=0.0)
 
     def test_blocks_draw_whole_z_within_the_cache_budget(self, monkeypatch):
         shapes = []
@@ -280,6 +314,63 @@ class TestWhirlySearch:
         )
         assert not report.passed
         assert report.observed["union_margin"] < 0.45
+
+    def test_union_curve_does_not_depend_on_the_constants(self):
+        # Recorded while the constants phase still estimated disk targets by
+        # Monte Carlo (delta 0.0 then, 4.4e-5 exact): the union search draws
+        # innovations bit by bit from its own streams, so its curve is the same.
+        report = whirly_search(UNIT_DISK, 0.3, 4000, 8, RngStream(136), z_samples=20, inner_samples=200)
+        curve = {k: v for k, v in report.observed.items() if k.startswith("union_n0_m")}
+        pinned = [0.3835, 0.47275, 0.528, 0.55625, 0.583, 0.6, 0.61425, 0.6255]
+        assert curve == {f"union_n0_m{m}": v for m, v in enumerate(pinned, 1)}
+
+    @pytest.mark.parametrize(
+        "target, scans",
+        [
+            (disk_product(1, [0.3 - 0.2j, -0.4j], 1.4), False),
+            (affine_image(UNIT_DISK, 1.5, 0.2), True),
+            (boolean_combine("union", [UNIT_DISK, disk_product(0, 1.0, 0.8)]), True),
+        ],
+    )
+    def test_only_non_disk_targets_scan_inner_samples(self, monkeypatch, target, scans):
+        shapes, scanned = [], []
+
+        def recording(gen, shape, out=None):
+            shapes.append(tuple(shape))
+            return standard_complex(gen, shape, out)
+
+        def spy(*args):
+            scanned.append(args[0])
+            return translated_hits(*args)
+
+        translated_hits = experiments_module._translated_hits
+        monkeypatch.setattr(experiments_module, "standard_complex", recording)
+        monkeypatch.setattr(experiments_module, "_translated_hits", spy)
+        report = whirly_search(target, 0.5, 2000, target.level + 3, RngStream(138), z_samples=20, inner_samples=300)
+        width = 1 << target.level
+        assert (20, width) in shapes
+        blocks = [s for s in shapes if s[1:] == (300, width)]
+        assert scanned == ([target] if scans else [])
+        assert bool(blocks) == scans
+        assert 0.0 < report.observed["delta"] < 1.0
+
+    def test_tiny_exact_delta_gives_a_finite_union_length(self):
+        # At epsilon 0.15 the translate of the unit disk sits about 6.7*|z|
+        # away: exact delta 1.8e-25, far below 2**-53, where log(1 - delta) is 0.
+        report = whirly_search(UNIT_DISK, 0.15, 200, 2, RngStream(137), z_samples=20, inner_samples=200)
+        assert 0.0 < report.observed["delta"] < 1e-16
+        assert 1.0 <= report.observed["m_theory"] < math.inf
+
+    def test_subnormal_delta_leaves_the_union_length_open(self, monkeypatch):
+        # A product of tail masses can be subnormal; the length then overflows
+        # a float and the search runs every feasible length, as for delta 0.
+        monkeypatch.setattr(
+            experiments_module, "_translated_measures", lambda target, a, z, inner, rng: np.full(z, 1e-320)
+        )
+        report = whirly_search(UNIT_DISK, 0.5, 200, 2, RngStream(139), z_samples=20, inner_samples=200)
+        assert report.observed["delta"] == 1e-320
+        assert report.observed["m_theory"] == -1.0
+        assert "union_n0_m2" in report.observed
 
     def test_validation(self):
         with pytest.raises(ValueError):
