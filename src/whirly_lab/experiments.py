@@ -124,6 +124,12 @@ class ExperimentReport:
         return json.dumps(self.json_dict(include_runtime), indent=2, sort_keys=True)
 
 
+def _sigma(diff: float, se: float) -> float:
+    """``diff`` in units of ``se``; with a zero ``se``, 0 for no difference
+    and ``inf`` for any other."""
+    return (diff / se) if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
+
+
 def _finish(
     name: str,
     parameters: dict,
@@ -403,13 +409,12 @@ def verify_convolution(
         math.sqrt(max(fubini * (1.0 - fubini), 0.0) / samples), direct.std_error
     )
     diff = abs(fubini - direct.estimate)
-    sigma = (diff / se) if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
     observed = {
         "fubini_estimate": fubini,
         "direct_estimate": direct.estimate,
         "difference": diff,
         "combined_se": se,
-        "sigma_difference": sigma,
+        "sigma_difference": _sigma(diff, se),
     }
     thresholds = {"sigma_difference": {"max": SIGMA_LIMIT}}
     parameters = {"a": a, "level": n, "samples": samples}
@@ -475,8 +480,7 @@ def verify_conditional_independence(
     for p, se_p in zip(marginals, se_marginals):
         se = math.hypot(se_p, reference.std_error)
         diff = abs(p - reference.estimate)
-        sigma = (diff / se) if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
-        max_marginal_sigma = max(max_marginal_sigma, sigma)
+        max_marginal_sigma = max(max_marginal_sigma, _sigma(diff, se))
 
     probs = table.probs
     max_cell_sigma = 0.0
@@ -491,8 +495,7 @@ def verify_conditional_independence(
         se_cell = math.sqrt(max(cell * (1.0 - cell), 0.0) / samples)
         se = math.hypot(se_cell, se_expected)
         diff = abs(cell - expected)
-        sigma = (diff / se) if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
-        max_cell_sigma = max(max_cell_sigma, sigma)
+        max_cell_sigma = max(max_cell_sigma, _sigma(diff, se))
 
     observed = {
         "reference_marginal": reference.estimate,

@@ -56,7 +56,7 @@ import numpy as np
 from scipy import stats
 
 from .rng import RngStream
-from .sets import ActedSet, BorelSet, linear_reads
+from .sets import ActedSet, BorelSet, LinearReads, linear_reads
 from .tree import (
     DepthMismatchError,
     LevelVector,
@@ -78,9 +78,11 @@ MAX_JOINT_EVENTS = 12
 _BLOCK_LEAF_BUDGET = 1 << 16
 _MIN_BLOCK = 64
 
-# Most entries of the dense read matrix (16 MB), which is built before it is
-# split into support groups.  It binds only above level 10; the per-block cost
-# of the factor is bounded by the read path's own rule (event_indicators).
+# Most reads times level entries (16 MB) on the read path: linear_reads keeps
+# one coefficient per level entry for each distinct read block it walks, and
+# its group stack holds at most this many entries.  It binds only above level
+# 10; the per-block cost of the factor is bounded by the read path's own rule
+# (event_indicators).
 _MAX_READ_ENTRIES = 1 << 20
 
 
@@ -306,33 +308,10 @@ def _innovation_copies(
     return level, copies
 
 
-def _support_groups(mask: np.ndarray) -> list[np.ndarray]:
-    """Rows of a ``(D, W)`` nonzero pattern that share a column, taken
-    transitively; rows ascending within a group, groups by their first row."""
-    parent = list(range(mask.shape[0]))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner = np.full(mask.shape[1], -1)
-    for i, row in enumerate(mask):
-        cols = np.flatnonzero(row)
-        for j in np.unique(owner[cols]):
-            if j >= 0:
-                parent[root(int(j))] = i
-        owner[cols] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(mask.shape[0]):
-        groups.setdefault(root(i), []).append(i)
-    return [np.array(rows) for rows in groups.values()]
-
-
 class ReadFactor(NamedTuple):
-    """``conj(R)`` for a read matrix ``A`` with ``A^H = Q R``, one QR per
-    support group, so ``R`` is block-diagonal up to the order of its rows.
+    """``conj(R)`` for grouped reads with ``A_g^H = Q_g R_g`` in each group
+    ``g`` (see :class:`~whirly_lab.sets.LinearReads`), so ``R`` is
+    block-diagonal up to the order of its rows.
 
     ``diagonal[i]`` is entry ``(i, i)`` and ``updates`` lists every entry
     ``(i, j, value)`` with ``i < j`` in one group.
@@ -342,25 +321,22 @@ class ReadFactor(NamedTuple):
     updates: tuple[tuple[int, int, complex], ...]
 
     @classmethod
-    def of(cls, matrix: np.ndarray, limit: int) -> "ReadFactor | None":
-        """The factor of ``matrix``, or ``None`` when its rows plus its
+    def of(cls, reads: LinearReads, limit: int) -> "ReadFactor | None":
+        """The factor of ``reads``, or ``None`` when its rows plus its
         off-diagonal entries reach ``limit``, before any QR is taken."""
-        mask = matrix != 0
-        groups = _support_groups(mask)
-        if matrix.shape[0] + sum(g.size * (g.size - 1) // 2 for g in groups) >= limit:
+        count, size = reads.rows.shape
+        if count * size * (size + 1) // 2 >= limit:
             return None
-        diagonal = np.zeros(matrix.shape[0], dtype=np.complex128)
-        updates = []
-        for rows in groups:
-            cols = np.flatnonzero(mask[rows].any(axis=0))
-            r = np.linalg.qr(matrix[np.ix_(rows, cols)].conj().T, mode="r")
-            # A group with fewer columns than rows gets zero rows: its extra
-            # draws are read by nothing.
-            factor = np.zeros((rows.size, rows.size), dtype=np.complex128)
-            factor[: r.shape[0]] = np.conj(r)
-            diagonal[rows] = factor.diagonal()
-            for a, b in zip(*np.triu_indices(rows.size, 1)):
-                updates.append((int(rows[a]), int(rows[b]), complex(factor[a, b])))
+        r = np.linalg.qr(reads.groups.conj().transpose(0, 2, 1), mode="r")
+        # A group with fewer columns than rows gets zero rows: its extra
+        # draws are read by nothing.
+        factor = np.zeros((count, size, size), dtype=np.complex128)
+        factor[:, : r.shape[1]] = np.conj(r)
+        diagonal = np.empty(reads.rows.size, dtype=np.complex128)
+        diagonal[reads.rows] = factor.diagonal(axis1=1, axis2=2)
+        a, b = np.triu_indices(size, 1)
+        updates = zip(reads.rows[:, a].ravel().tolist(), reads.rows[:, b].ravel().tolist(),
+                      factor[:, a, b].ravel().tolist())
         return cls(diagonal, tuple(updates))
 
     def apply(self, z: np.ndarray, width: int) -> np.ndarray:
@@ -396,19 +372,19 @@ def event_indicators(
        which are independent of ``x_N`` and of each other.  Only one ``U`` is
        held at a time, and blocks are sized for level ``N + 1``.
     2. Reads.  Without ``given``, the family's ``D`` distinct linear reads
-       of its level-``L`` vector, ``L`` the deepest event level (see
-       :func:`~whirly_lab.sets.linear_reads`), form a ``D x 2**L`` read
-       matrix ``A``.  Rows that share a nonzero column, taken transitively,
-       form a support group; reads of different groups are independent.
-       :class:`ReadFactor` takes ``A_g^H = Q_g R_g`` on each group's own
-       columns, and ``conj(R)`` is block-diagonal over the groups.  When
+       of its level-``L`` vector, ``L`` the deepest event level, come grouped
+       by the level-``c`` subtree they read, ``c`` the coarsest leaf level
+       (see :func:`~whirly_lab.sets.linear_reads`); reads of different
+       groups are independent.  :class:`ReadFactor` takes
+       ``A_g^H = Q_g R_g`` for every group's read matrix ``A_g`` in one
+       batched QR, and ``conj(R)`` is block-diagonal over the groups.  When
        ``D`` plus the off-diagonal entries of ``R`` is below ``2**L``, the
-       draws of the level, and ``A`` has at most ``_MAX_READ_ENTRIES``
-       entries (which binds only above level 10), the sampler draws ``D``
-       standard complex values ``z`` per realization and evaluates every
-       reduced event on ``xi = z @ conj(R)``, computed as one scale of ``z``
-       by the diagonal and one 1-D column update per off-diagonal entry: the
-       reads ``x @ A_g.T`` equal ``(x @ conj(Q_g)) @ conj(R_g)``, and
+       draws of the level, and ``D * 2**L`` is at most ``_MAX_READ_ENTRIES``
+       (which binds only above level 10), the sampler draws ``D`` standard
+       complex values ``z`` per realization and evaluates every reduced
+       event on ``xi = z @ conj(R)``, computed as one scale of ``z`` by the
+       diagonal and one 1-D column update per off-diagonal entry: the reads
+       ``x @ A_g.T`` equal ``(x @ conj(Q_g)) @ conj(R_g)``, and
        ``x @ conj(Q_g)`` is i.i.d. standard because ``Q_g`` has orthonormal
        columns.  The rule bounds the updates per block, which one dense
        group would make quadratic in ``D``.  ``xi`` keeps the read order and
@@ -445,9 +421,9 @@ def event_indicators(
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
     max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
     reads = linear_reads(events, max_reads) if given is None else None
-    factor = None if reads is None else ReadFactor.of(reads.matrix, 1 << level)
+    factor = None if reads is None else ReadFactor.of(reads, 1 << level)
     if factor is not None:
-        rows = reads.matrix.shape[0]
+        rows = reads.rows.size
         read_level = reads.reduced[0].level
 
         def read_block(gen: np.random.Generator, count: int) -> np.ndarray:

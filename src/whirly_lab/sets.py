@@ -415,16 +415,23 @@ def symmetric_difference(a: BorelSet, b: BorelSet) -> BorelSet:
 
 
 class LinearReads(NamedTuple):
-    """The linear reads a family of sets makes of its level vector, and the
-    sets on them.
+    """The linear reads a family of sets makes of its level vector, grouped
+    by the subtrees they read, and the sets on them.
 
-    ``matrix`` has shape ``(D, 2**L)``, ``L`` the deepest level of the family.
-    A level-``L`` row vector ``x`` lies in set ``j`` exactly when its reads
-    ``x @ matrix.T``, padded with zero columns to ``2**reduced[j].level``,
-    lie in ``reduced[j]``.
+    ``L`` is the deepest level of the family and ``c`` the coarsest level of
+    its leaves.  Every leaf reads all of its paths, so the ``D`` reads split
+    into ``G = 2**c`` groups of ``R = D / G``, one per level-``c`` subtree of
+    ``W = 2**(L - c)`` paths, and reads of different groups share no entry
+    of ``x``.  ``groups[g]`` has shape ``(R, W)`` and holds the coefficients
+    of group ``g``'s reads on the entries of its subtree; ``rows[g]`` holds
+    their read indices, ascending.  A level-``L`` row vector ``x`` lies in
+    set ``j`` exactly when its reads ``y``, with
+    ``y[:, rows[g]] = x[:, g*W:(g+1)*W] @ groups[g].T`` and padded with zero
+    columns to ``2**reduced[j].level``, lie in ``reduced[j]``.
     """
 
-    matrix: np.ndarray
+    groups: np.ndarray
+    rows: np.ndarray
     reduced: tuple[BorelSet, ...]
 
 
@@ -439,14 +446,15 @@ def linear_reads(events: Sequence[BorelSet], max_reads: int) -> LinearReads | No
     ``x`` below path ``i``, so the linear part is kept as one coefficient per
     entry of ``x``.  Each distinct linear part gets its own block of rows,
     once, however many leaves of however many sets read it; the walk stops as
-    soon as the rows exceed ``max_reads``, before any matrix is built.
+    soon as the rows exceed ``max_reads``, before any group is built.
 
     Each reduced set keeps the union, intersection and complement nodes and
     drops the acted and affine ones.  Their leaves all live at the level
     ``ceil(log2(D))`` and test only their own block of reads: a disk factor
     has radius ``inf`` and a halfspace a zero normal outside it.  Shifts are
-    folded into the disk centers and halfspace offsets.  Returns ``None`` for
-    node types other than the grammar's.
+    folded into the disk centers and halfspace offsets.  A read block at
+    level ``l`` gives each level-``c`` subtree ``2**(l - c)`` of its rows,
+    row ``k`` reading only the ``k``-th slice of the subtree.  Returns ``None`` for node types other than the grammar's.
     """
     top = max(e.level for e in events)
     # (leaf level, coefficient bytes) -> (first row, coefficients)
@@ -518,12 +526,17 @@ def linear_reads(events: Sequence[BorelSet], max_reads: int) -> LinearReads | No
             return boolean_combine("complement", [build(spec[1])])
         return boolean_combine(spec[0], [build(c) for c in spec[1]])
 
-    matrix = np.zeros((rows, 1 << top), dtype=np.complex128)
+    coarsest = min(leaf_level for leaf_level, _ in reads)
+    count = 1 << coarsest
+    groups, indices = [], []
     for (leaf_level, _), (start, coef) in reads.items():
-        n = 1 << leaf_level
-        rows_of = matrix[start : start + n].reshape(n, n, -1)
-        rows_of[np.arange(n), np.arange(n)] = coef.reshape(n, -1)
-    return LinearReads(matrix, tuple(build(plan) for plan in plans))
+        n = 1 << (leaf_level - coarsest)
+        block = np.zeros((count, n, n, coef.size >> leaf_level), dtype=np.complex128)
+        block[:, np.arange(n), np.arange(n)] = coef.reshape(count, n, -1)
+        groups.append(block.reshape(count, n, -1))
+        indices.append(start + np.arange(count * n).reshape(count, n))
+    reduced = tuple(build(plan) for plan in plans)
+    return LinearReads(np.concatenate(groups, axis=1), np.concatenate(indices, axis=1), reduced)
 
 
 # ---------------------------------------------------------------------------

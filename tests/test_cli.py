@@ -240,11 +240,14 @@ class TestSuiteCommand:
         _, sharded, _ = run_cli(capsys, *args, "--workers", "2")
         assert serial == sharded
 
-    # md5 of the stdout of ``whirly-lab suite --quick`` at the pinned seed.  A
-    # refactor or a kernel that must not move a draw or a bit leaves it as it
-    # is; a change that alters the draws on purpose re-records it and says so
-    # in CHANGES.md.  At this seed the quick suite fails ``marginals`` alone.
+    # md5 of the stdout of ``whirly-lab suite --quick`` and of the full-scale
+    # ``whirly-lab suite`` at the pinned seed.  A refactor or a kernel that
+    # must not move a draw or a bit leaves them as they are; a change that
+    # alters the draws on purpose re-records them and says so in CHANGES.md.
+    # At this seed the quick suite fails ``marginals`` alone and the full
+    # suite passes every criterion.
     _QUICK_SUITE_MD5 = "817857e05362394f318d29c1ff89edf0"
+    _SUITE_MD5 = "4a4a8bac39c1328f8ed020daa25bae9a"
 
     def test_quick_suite_output_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "suite", "--quick")
@@ -253,6 +256,12 @@ class TestSuiteCommand:
             "FAIL marginals"
         ]
         assert hashlib.md5(out.encode()).hexdigest() == self._QUICK_SUITE_MD5
+
+    def test_full_suite_output_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "suite")
+        assert code == 0
+        assert not [line for line in err.splitlines() if line.startswith("FAIL")]
+        assert hashlib.md5(out.encode()).hexdigest() == self._SUITE_MD5
 
     def test_unknown_criterion_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")

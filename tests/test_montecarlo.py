@@ -569,7 +569,7 @@ class TestReadPath:
     )
     def test_agrees_in_law_with_level_draws(self, make):
         target = make()
-        assert linear_reads([target], 1 << target.level).matrix.shape[0] == 2
+        assert linear_reads([target], 1 << target.level).rows.size == 2
         fast = estimate_measure(target, target.level, self.SAMPLES, RngStream(96))
         p = _oracle_table([target], target.level, self.SAMPLES, 97).marginal(0)
         se = math.sqrt(p * (1.0 - p) / self.SAMPLES)
@@ -657,18 +657,19 @@ def _dense_group_family():
     return [acted_set(random_element(2, gen), disk_product(0, 0j, 1.0)) for _ in range(3)]
 
 
-def _mixed_reads() -> np.ndarray:
-    """A ``4 x 8`` read matrix with one group of two reads and two of one:
-    rows 0 and 2 share columns 0 and 1 with correlation ``exp(-0.5j)/sqrt(2)``,
-    rows 1 and 3 read pairs of their own.  The grammar cannot build this
-    shape, because every leaf reads all of its paths and so gives every
-    subtree the same reads."""
-    a = np.zeros((4, 8), dtype=np.complex128)
-    a[0, 0:4] = np.array([1.0, 1j, -1.0, 1.0]) / 2.0
-    a[1, 4:6] = np.exp([0.3j, -1.1j]) / math.sqrt(2.0)
-    a[2, 0:2] = np.exp(0.5j) * np.array([1.0, 1j]) / math.sqrt(2.0)
-    a[3, 6:8] = np.exp([2.0j, 0.4j]) / math.sqrt(2.0)
-    return a
+def _mixed_family():
+    """A level-0 and a level-1 disk in one union and a level-1 halfspace, all
+    acted on by level-4 elements: five reads in one group, because the
+    coarsest leaf is at level 0."""
+    gen = RngStream(116).generator()
+    g, h, k = (random_element(4, gen) for _ in range(3))
+    return [
+        boolean_combine("union", [
+            acted_set(g, disk_product(0, 0.2 - 0.1j, 1.0)),
+            acted_set(h, disk_product(1, [0.3 + 0j, -0.4j], 1.2)),
+        ]),
+        acted_set(k, halfspace(1, [1.0 + 0j, 0.5j], 0.1)),
+    ]
 
 
 class TestGroupedReads:
@@ -686,45 +687,80 @@ class TestGroupedReads:
         assert _max_cell_sigma(fast, slow) < 4.0
 
     def test_groups_of_the_grammar(self):
-        for make, sizes in [(_disjoint_family, [1] * 16), (_paired_family, [2, 2]), (_dense_group_family, [3])]:
-            matrix = linear_reads(make(), 63).matrix
-            factor = ReadFactor.of(matrix, 64)
+        for make, shape, sizes in [
+            (_disjoint_family, (16, 1, 2), [1] * 16),
+            (_paired_family, (2, 2, 4), [2, 2]),
+            (_dense_group_family, (1, 3, 4), [3]),
+        ]:
+            reads = linear_reads(make(), 63)
+            assert reads.groups.shape == shape
+            assert reads.rows.shape == shape[:2]
+            factor = ReadFactor.of(reads, 64)
             assert len(factor.updates) == sum(k * (k - 1) // 2 for k in sizes)
-            assert ReadFactor.of(matrix, matrix.shape[0] + len(factor.updates)) is None
+            assert ReadFactor.of(reads, reads.rows.size + len(factor.updates)) is None
+            assert ReadFactor.of(reads, reads.rows.size + len(factor.updates) + 1) is not None
 
-    def test_mixed_groups_agree_in_law_with_level_draws(self):
-        a = _mixed_reads()
-        factor = ReadFactor.of(a, 8)
-        assert [(i, j) for i, j, _ in factor.updates] == [(0, 2)]
-        # xi = z @ F is circular Gaussian with covariance F^T conj(F); the
-        # reads x @ A^T have covariance A A^H.
-        dense = np.diag(factor.diagonal)
-        dense[0, 2] = factor.updates[0][2]
-        np.testing.assert_allclose(dense.T @ dense.conj(), a @ a.conj().T, atol=1e-14)
-        on = np.eye(4, dtype=bool)
-        centers = np.array([0.5 - 0.4j, 0.3j, -0.6 + 0.2j, 0.2])
-        disks = [disk_product(2, np.where(on[j], centers, 0j), np.where(on[j], 1.1, math.inf)) for j in range(4)]
+    # ``ReadFactor`` of each family, recorded when every support group was
+    # factored by its own QR: the family, the bits of ``diagonal`` (real and
+    # imaginary parts) and of each update ``(i, j, real, imag)``, sorted by
+    # ``(i, j)``.
+    PINNED = {
+        "disjoint": (
+            _disjoint_family,
+            [0xBFF0000000000000, 0x8000000000000000, 0xBFF0000000000001, 0x8000000000000000,
+             0x3FF0000000000001, 0x8000000000000000, 0xBFF0000000000001, 0x8000000000000000,
+             0xBFF0000000000001, 0x8000000000000000, 0x3FF0000000000001, 0x8000000000000000,
+             0x3FF0000000000001, 0x8000000000000000, 0x3FF0000000000001, 0x8000000000000000,
+             0xBFF0000000000001, 0x8000000000000000, 0xBFF0000000000001, 0x8000000000000000,
+             0xBFF0000000000001, 0x8000000000000000, 0x3FF0000000000001, 0x8000000000000000,
+             0x3FF0000000000000, 0x8000000000000000, 0x3FF0000000000000, 0x8000000000000000,
+             0x3FF0000000000001, 0x8000000000000000, 0xBFF0000000000001, 0x8000000000000000],
+            [],
+        ),
+        "paired": (
+            _paired_family,
+            [0xBFF0000000000000, 0x8000000000000000, 0xBFF0000000000000, 0x8000000000000000,
+             0xBFB763641E4FCBA7, 0x8000000000000000, 0xBFC140FE191E1BC1, 0x8000000000000000],
+            [(0, 2, 0xBFDF6E6CCEC7B38C, 0x3FEBB8A73898A0B9), (1, 3, 0xBFE0E34AA2F8123C, 0x3FEAD6209BFCC93F)],
+        ),
+        "dense-group": (
+            _dense_group_family,
+            [0x3FF0000000000000, 0x8000000000000000, 0x3FEFB8175ED249FA, 0x8000000000000000,
+             0x3FE6B0A20555B966, 0x8000000000000000],
+            [(0, 1, 0x3F72A9808C4FC140, 0x3FC0E998ECDF2299), (0, 2, 0xBFE1537263E925F0, 0xBFCEF6C2F504FAB0),
+             (1, 2, 0x3FBEEAAF9335D520, 0xBFD72971BA677EDD)],
+        ),
+        "continuity": (
+            lambda: [_continuity_set()],
+            [0x3FF0000000000001, 0x8000000000000000, 0xBFD4FBBBCB52F7D7, 0x8000000000000000],
+            [(0, 1, 0x3FEE373E01DB7BB6, 0xBF9EE028FF011CB0)],
+        ),
+        "mixed": (
+            _mixed_family,
+            [0x3FEFFFFFFFFFFFFF, 0x8000000000000000, 0xBFEEFF357605AF6E, 0x8000000000000000,
+             0x3FEF758F8353FB28, 0x8000000000000000, 0xBFE841385047656C, 0x8000000000000000,
+             0x3FE8907DBACD28F4, 0x8000000000000000],
+            [(0, 1, 0xBFB44F5A5BD38AA0, 0x3FCE21CF9826E864), (0, 2, 0x3FC698FDCF0A24A0, 0x3F910CB684BB090F),
+             (0, 3, 0x3FCA05C20E7E0969, 0xBFD01CDBE2B40ED5), (0, 4, 0xBFB8B26A4A767645, 0xBF9315CDA954DBD9),
+             (1, 2, 0xBF85537BB4DC89FC, 0xBFA6AA53FF7F6F7A), (1, 3, 0x3FE1EC67D92C4CB6, 0x3FB3BEA8D9866EDE),
+             (1, 4, 0x3F6B9F76DDD6F9CC, 0x3F99922DA97B9487), (2, 3, 0xBF97630F752FE484, 0x3F98D4F4AF825420),
+             (2, 4, 0xBFE18A13AFD2F4C4, 0xBFD43A34D347E315), (3, 4, 0xBF80E4A1E82C4B38, 0x3F80A48198F65AD0)],
+        ),
+    }
 
-        def table(draw, seed):
-            def block(gen, count):
-                xi = draw(gen, count)
-                code = np.zeros(count, dtype=np.int64)
-                for j, d in enumerate(disks):
-                    code |= d.indicator_at(xi).astype(np.int64) << j
-                return np.bincount(code, minlength=16)
-
-            counts = tally_blocks(block, self.SAMPLES, RngStream(seed), block_size=default_block_size(3))
-            return JointTable(4, tuple(int(c) for c in counts), self.SAMPLES, seed)
-
-        fast = table(lambda gen, count: factor.apply(standard_complex(gen, (count, 4)), 4), 119)
-        slow = table(lambda gen, count: standard_complex(gen, (count, 8)) @ a.T, 120)
-        assert fast.cell([1, 0, 1, 0]) > 0.01
-        assert _max_cell_sigma(fast, slow) < 4.0
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_factor_bits_are_pinned(self, name):
+        make, diagonal, updates = self.PINNED[name]
+        factor = ReadFactor.of(linear_reads(make(), 63), 64)
+        assert factor.diagonal.view(np.uint64).tolist() == diagonal
+        bits = [(i, j, *np.array([v]).view(np.uint64).tolist()) for i, j, v in sorted(factor.updates)]
+        assert bits == updates
 
     def test_continuity_product_matches_the_dense_factor(self):
         reads = linear_reads([_continuity_set()], 63)
-        dense = np.conj(np.linalg.qr(reads.matrix.conj().T, mode="r"))
-        factor = ReadFactor.of(reads.matrix, 64)
+        assert reads.groups.shape == (1, 2, 64) and reads.rows.tolist() == [[0, 1]]
+        dense = np.conj(np.linalg.qr(reads.groups[0].conj().T, mode="r"))
+        factor = ReadFactor.of(reads, 64)
         z = standard_complex(RngStream(121).generator(), (4096, 2))
         expected = z @ dense
         xi = factor.apply(z, 2)

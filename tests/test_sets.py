@@ -375,8 +375,22 @@ _EXPRESSIONS = st.recursive(
 
 
 def _padded_reads(reads, x: np.ndarray) -> np.ndarray:
-    y = x @ reads.matrix.T
-    return np.pad(y, ((0, 0), (0, (1 << reads.reduced[0].level) - y.shape[1])))
+    """The reads of ``x``, one column per read index, padded with zero columns
+    to the level of the reduced sets."""
+    count, _, width = reads.groups.shape
+    y = np.zeros((x.shape[0], 1 << reads.reduced[0].level), dtype=np.complex128)
+    y[:, reads.rows] = np.einsum("sgw,grw->sgr", x.reshape(-1, count, width), reads.groups)
+    return y
+
+
+def _check_grouping(reads, top: int) -> None:
+    """Groups tile the level-``top`` paths, and ``rows`` numbers the reads
+    once each, ascending within a group."""
+    count, size, width = reads.groups.shape
+    assert count * width == 1 << top
+    assert reads.rows.shape == (count, size)
+    assert sorted(reads.rows.ravel().tolist()) == list(range(count * size))
+    assert np.all(np.diff(reads.rows, axis=1) > 0)
 
 
 def _kinds(node) -> set:
@@ -390,7 +404,7 @@ class TestLinearReads:
     @settings(deadline=None, derandomize=True, max_examples=150)
     def test_reduced_set_on_the_reads_is_the_set(self, target, seed):
         reads = linear_reads([target], 1 << 12)
-        assert reads.matrix.shape[1] == 1 << target.level
+        _check_grouping(reads, target.level)
         (reduced,) = reads.reduced
         assert not _kinds(reduced) & {"acted-image", "affine-image"}
         x = _draws(seed % 1000, 300, target.level)
@@ -401,8 +415,8 @@ class TestLinearReads:
     def test_family_shares_one_read_table(self, events, seed):
         top = max(e.level for e in events)
         reads = linear_reads(events, 1 << 12)
-        assert reads.matrix.shape[1] == 1 << top
-        assert reads.matrix.shape[0] <= sum(linear_reads([e], 1 << 12).matrix.shape[0] for e in events)
+        _check_grouping(reads, top)
+        assert reads.rows.size <= sum(linear_reads([e], 1 << 12).rows.size for e in events)
         assert len(reads.reduced) == len(events)
         assert len({r.level for r in reads.reduced}) == 1
         x = _draws(seed % 1000, 300, top)
@@ -418,8 +432,8 @@ class TestLinearReads:
         # vector; the union reads g's read again.
         family = [acted_set(g, disk), acted_set(h, disk), boolean_combine("union", [acted_set(g, disk)])]
         reads = linear_reads(family, 7)
-        assert reads.matrix.shape == (2, 8)
-        np.testing.assert_allclose(reads.matrix[1], np.repeat(np.conj(h.phases), 2) / math.sqrt(8.0))
+        assert reads.groups.shape == (1, 2, 8) and reads.rows.tolist() == [[0, 1]]
+        np.testing.assert_allclose(reads.groups[0, 1], np.repeat(np.conj(h.phases), 2) / math.sqrt(8.0))
         assert [r.level for r in reads.reduced] == [1, 1, 1]
         assert linear_reads(family, 1) is None
 
@@ -430,19 +444,22 @@ class TestLinearReads:
         # Each acted disk appears twice in the symmetric difference.
         moved = symmetric_difference(acted_set(g, disk), acted_set(h, disk))
         reads = linear_reads([moved], 63)
-        assert reads.matrix.shape == (2, 64)
-        np.testing.assert_allclose(reads.matrix, np.stack([np.conj(g.phases), np.conj(h.phases)]) / 8.0)
+        assert reads.groups.shape == (1, 2, 64) and reads.rows.tolist() == [[0, 1]]
+        np.testing.assert_allclose(reads.groups[0], np.stack([np.conj(g.phases), np.conj(h.phases)]) / 8.0)
         assert reads.reduced[0].kind == "union" and reads.reduced[0].level == 1
         # The same leaf through two maps is two reads; one map is one.
-        assert linear_reads([symmetric_difference(acted_set(g, disk), acted_set(g, disk))], 63).matrix.shape == (1, 64)
+        same = symmetric_difference(acted_set(g, disk), acted_set(g, disk))
+        assert linear_reads([same], 63).groups.shape == (1, 1, 64)
 
     def test_stops_at_max_reads(self):
         disk = disk_product(3, 0j, 1.0)
         assert linear_reads([disk], 7) is None
-        assert linear_reads([disk], 8).matrix.shape == (8, 8)
+        assert linear_reads([disk], 8).groups.shape == (8, 1, 1)
         wide = boolean_combine("union", [disk, acted_set(random_element(3, RngStream(71).generator()), disk)])
         assert linear_reads([wide], 15) is None
-        assert linear_reads([wide], 16).matrix.shape == (16, 8)
+        reads = linear_reads([wide], 16)
+        assert reads.groups.shape == (8, 2, 1)
+        assert reads.rows.tolist() == [[g, 8 + g] for g in range(8)]
 
     def test_shift_is_folded_into_centers_and_offsets(self):
         disk = affine_image(disk_product(0, 0.5 + 0j, 1.0), 2.0, 1.0 - 1j)
