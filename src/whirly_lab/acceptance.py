@@ -36,7 +36,7 @@ from .experiments import (
     whirly_search,
 )
 from .group import identity, make_gsk, random_element
-from .montecarlo import MIN_SAMPLES, estimate_measure, wilson_interval
+from .montecarlo import MIN_SAMPLES, estimate_measure, tally_blocks, wilson_interval
 from .rng import RngStream
 from .sets import acted_set, disk_mass, disk_product
 from .tree import (
@@ -374,14 +374,13 @@ def _run_engineering(seed: int, workers: int, scale: float) -> ExperimentReport:
 
     truth = disk_mass(1.0)
     runs = _scaled(200, scale, 50)
-    run_stream = stream.child(2)
-    covered = 0
-    for j in range(runs):
-        draws = standard_complex(run_stream.block(j), (2000, 1))
-        hits = int(np.count_nonzero(target.indicator_at(draws)))
-        lo, hi = wilson_interval(hits, 2000)
-        if lo <= truth <= hi:
-            covered += 1
+
+    def coverage_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        hits = int(np.count_nonzero(target.indicator_at(standard_complex(gen, (count, 1)))))
+        lo, hi = wilson_interval(hits, count)
+        return np.array([lo <= truth <= hi], dtype=np.int64)
+
+    covered = int(tally_blocks(coverage_block, runs * 2000, stream.child(2), block_size=2000)[0])
 
     observed = {
         "json_identical": 1.0 if json_identical else 0.0,

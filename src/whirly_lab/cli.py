@@ -189,9 +189,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    depth = args.depth if args.depth is not None else args.set.level
     est = estimate_measure(
-        args.set, depth, args.samples, _stream(args), workers=args.workers, confidence=args.confidence
+        args.set, args.set.level, args.samples, _stream(args),
+        workers=args.workers, confidence=args.confidence,
     )
     if args.format == "json":
         _emit_json(est.json_dict(), sys.stdout)
@@ -320,13 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the measure of a set")
     p.add_argument("--set", type=parse_set_spec, required=True, help="disk:levelN:rR[:cX,Y], inline JSON, or a JSON file")
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="tree depth to validate (default: the set's level); it must reach the set's level "
-        "and fit the sampler budget, but the draws do not depend on it",
-    )
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--confidence", type=float, default=0.95)
     _add_common(p, workers=True)

@@ -180,20 +180,19 @@ def verify_marginals(
     width = 1 << n
     n_vars = 5 * width
 
-    sum1 = np.zeros(n_vars, dtype=np.complex128)
-    sum_sq = np.zeros(n_vars, dtype=np.float64)
-    cross = np.zeros((n_vars, n_vars), dtype=np.complex128)
-    for index, count in block_plan(samples, default_block_size(depth)):
-        levels = sampler(depth, count, rng.block(index))
+    def moment_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        # First moments, squared moduli and cross products in one vector.
+        levels = sampler(depth, count, gen)
         columns = [levels[n]] + [u_stat_arrays(levels, n, k) for k in range(n, n + 4)]
         w = np.concatenate(columns, axis=1)
-        sum1 += w.sum(axis=0)
-        sum_sq += (w.real**2 + w.imag**2).sum(axis=0)
-        cross += w.conj().T @ w
+        return np.concatenate(
+            [w.sum(axis=0), (w.real**2 + w.imag**2).sum(axis=0), (w.conj().T @ w).ravel()]
+        )
 
-    mean = sum1 / samples
-    second = sum_sq / samples
-    cov = cross / samples - np.outer(mean.conj(), mean)
+    sums = tally_blocks(moment_block, samples, rng, block_size=default_block_size(depth))
+    mean = sums[:n_vars] / samples
+    second = sums[n_vars : 2 * n_vars].real / samples
+    cov = sums[2 * n_vars :].reshape(n_vars, n_vars) / samples - np.outer(mean.conj(), mean)
     off = np.abs(cov)
     np.fill_diagonal(off, 0.0)
 
@@ -676,22 +675,24 @@ def whirly_search(
     chi-square CDFs, and ``inner_samples`` sizes only the base estimate; any
     other ``K`` is measured on ``inner_samples`` level vectors per ``z``, from
     the block of ``rng.child(2)`` that holds it (see
-    :func:`_translated_measures`).  Search phase: for each base
-    level ``n`` up to ``max_depth``, estimate the measures of the unions of
-    the first ``m`` whirled copies ``g(epsilon, k) . K`` for ``k = n ..
-    n+m-1`` (all prefixes share one sample set, so the reported union curve is
-    exactly monotone), capped so the deepest element fits in ``max_depth``.
-    Whirling elements are sampled in innovation coordinates, ``m + 1`` level
-    vectors per sample, and other elements through their reads or the
-    deepest level they need (see
-    :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes as
-    soon as one union clears ``1 - epsilon`` by three standard errors;
-    exhausting ``max_depth`` is reported as a failure, not an exception.  A
-    ``max_depth`` whose elements would hold more than
-    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or ``z_samples`` or
-    ``inner_samples`` level vectors that would not fit that budget in one
-    draw (checked for every ``K``, disk products included), is refused with a
-    ``ValueError`` before anything is drawn or built.
+    :func:`_translated_measures`).  Search phase: estimate, on one sample
+    set from ``rng.child(3)``, the measures of the unions of the first ``m``
+    whirled copies ``g(epsilon, k) . K`` for ``k = n .. n+m-1``, ``n`` the
+    set's level, so the reported union curve is exactly monotone; ``m`` is
+    capped by the constants and so the deepest element fits in ``max_depth``.
+    Each copy reads only ``x_n`` and its own i.i.d. aggregated innovation,
+    so a later base level would draw the same union law, and none is
+    searched.  Whirling elements are sampled in innovation coordinates,
+    ``m + 1`` level vectors per sample, and other elements through their
+    reads or the deepest level they need (see
+    :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes,
+    with ``found_n = n``, as soon as one union clears ``1 - epsilon`` by
+    three standard errors; reaching the cap is a failure (``found_n = -1``),
+    not an exception.  A ``max_depth`` whose elements would hold more than
+    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or ``z_samples``
+    level vectors that would not fit that budget in one draw, or, unless
+    ``K`` is a disk product, ``inner_samples`` that would not, is refused
+    with a ``ValueError`` before anything is drawn or built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -708,7 +709,10 @@ def whirly_search(
         )
     if z_samples < 10 or inner_samples < MIN_SAMPLES:
         raise ValueError("constants phase needs z_samples >= 10 and inner_samples >= 100")
-    check_sampler_budget(target.level, max(z_samples, inner_samples))
+    # The constants phase draws all z in one call, and inner_samples level
+    # vectors per z unless their measures are exact (see _translated_measures).
+    exact = isinstance(target, DiskProduct)
+    check_sampler_budget(target.level, z_samples if exact else max(z_samples, inner_samples))
     started = time.perf_counter()
     n0 = target.level
 
@@ -733,44 +737,33 @@ def whirly_search(
             m_theory = max(1, math.ceil(length))
 
     # Search phase.
+    m_cap = max_depth - n0 if m_theory is None else min(max_depth - n0, m_theory)
+    events = [acted_set(element_factory(epsilon, k), target) for k in range(n0, n0 + m_cap)]
+    block_size, indicators = event_indicators(events)
+
+    def union_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        stacked = indicators(gen, count)
+        return np.logical_or.accumulate(stacked, axis=0).sum(axis=1).astype(np.int64)
+
+    hits = tally_blocks(union_block, samples, rng.child(3), block_size=block_size, workers=workers)
     found = False
-    found_n = -1
     found_m = -1
     best_margin = -math.inf
     best_estimate = 0.0
     best_se = 0.0
     curve: dict[str, float] = {}
-    for n in range(n0, max_depth):
-        m_cap = max_depth - n
-        if m_theory is not None:
-            m_cap = min(m_cap, m_theory)
-        if m_cap < 1:
-            continue
-        events = [acted_set(element_factory(epsilon, k), target) for k in range(n, n + m_cap)]
-        block_size, indicators = event_indicators(events)
-
-        def union_block(gen: np.random.Generator, count: int) -> np.ndarray:
-            stacked = indicators(gen, count)
-            return np.logical_or.accumulate(stacked, axis=0).sum(axis=1).astype(np.int64)
-
-        hits = tally_blocks(
-            union_block, samples, rng.child(3 + (n - n0)), block_size=block_size, workers=workers
-        )
-        for m in range(1, m_cap + 1):
-            estimate = hits[m - 1] / samples
-            se = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
-            margin = estimate - SIGMA_LIMIT * se
-            curve[f"union_n{n}_m{m}"] = float(estimate)
-            if margin > best_margin:
-                best_margin = margin
-                best_estimate = estimate
-                best_se = se
-            if margin > 1.0 - epsilon:
-                found = True
-                found_n = n
-                found_m = m
-                break
-        if found:
+    for m in range(1, m_cap + 1):
+        estimate = hits[m - 1] / samples
+        se = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
+        margin = estimate - SIGMA_LIMIT * se
+        curve[f"union_n{n0}_m{m}"] = float(estimate)
+        if margin > best_margin:
+            best_margin = margin
+            best_estimate = estimate
+            best_se = se
+        if margin > 1.0 - epsilon:
+            found = True
+            found_m = m
             break
 
     observed = {
@@ -778,7 +771,7 @@ def whirly_search(
         "delta": delta,
         "m_theory": -1.0 if m_theory is None else float(m_theory),
         "found": 1.0 if found else 0.0,
-        "found_n": float(found_n),
+        "found_n": float(n0 if found else -1),
         "found_m": float(found_m),
         "union_estimate": float(best_estimate),
         "union_se": float(best_se),

@@ -11,7 +11,9 @@ draws per sample for ``m`` distinct bits; other unconditional families
 through the exact joint law of their ``D`` stacked linear reads when ``D``
 plus the off-diagonal entries of their per-group triangular factors stays
 below ``2**L``; and otherwise the deepest level the family needs, never a
-level below it.  An estimator's ``depth`` is validated, not sampled.
+level below it.  The sampler budget is checked on the level the blocks fill.
+An estimator's ``depth`` decides nothing: it is only required to reach the
+family's level.
 
 Reads that share no column of the level vector are independent, so the read
 factor is block-diagonal over support groups and each group is factored on
@@ -23,8 +25,8 @@ compete with the tally's workers (README, "Hot-path kernels").
 Sharding rule: the requested sample count is pre-partitioned into fixed-size
 blocks by index (:func:`block_plan`), and block ``i`` always draws from the
 stream's child key ``(stream_id, i)``.  Workers only decide which blocks they
-execute, and block hit counts are integers summed commutatively, so the result
-is bit-identical for any worker count.  The block size is a function of the
+execute, and block results are summed in plan order, so the result is
+bit-identical for any worker count.  The block size is a function of the
 problem, never of run-time conditions: of the level the draws fill (the
 family's deepest level, that of its padded reads, or level ``N + 1`` in
 innovation coordinates).  It is also never read from the machine (its cache
@@ -136,12 +138,13 @@ def tally_blocks(
     block_size: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """Sum integer tallies over the deterministic shard plan.
+    """Sum block tallies over the deterministic shard plan.
 
-    ``block_fn(gen, count)`` must return a 1-D int64 array whose value depends
-    only on the generator state and ``count``.  Blocks are laid out by index
-    and block ``i`` uses ``rng.block(i)``, so the total is independent of
-    ``workers``.
+    ``block_fn(gen, count)`` may return any numeric 1-D array whose value
+    depends only on the generator state and ``count``.  Blocks are laid out
+    by index and block ``i`` uses ``rng.block(i)``, and the block results are
+    summed in plan order, so the total is independent of ``workers``, for
+    float and complex tallies too.
 
     Each worker, the calling thread when ``workers <= 1`` and each pool
     thread otherwise, holds its own arena of :func:`block_buffer` arrays for
@@ -158,8 +161,7 @@ def tally_blocks(
 
     def run(task: tuple[int, int]) -> np.ndarray:
         index, count = task
-        out = np.asarray(block_fn(rng.block(index), count), dtype=np.int64)
-        return out
+        return np.asarray(block_fn(rng.block(index), count))
 
     if workers <= 1:
         _open_arena()
@@ -392,12 +394,22 @@ def event_indicators(
     3. Levels.  Otherwise it draws the deepest level the family or ``given``
        needs, with :func:`~whirly_lab.tree.sample_levels` or
        :func:`~whirly_lab.tree.conditional_levels`, and no level below it.
+
+    Blocks are sized for the level their draws fill, and a block of that
+    size that would not fit the sampler budget
+    (:func:`~whirly_lab.tree.check_sampler_budget`) is refused with a
+    ``ValueError`` here, before anything is drawn.
     """
 
     def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:
         if given is None:
             return sample_levels(to, count, gen, out=block_buffer("levels", (count, 1 << to)))
         return conditional_levels(given.entries, given.level, to, count, gen)
+
+    def sized(drawn: int, block: Callable) -> tuple[int, Callable]:
+        block_size = default_block_size(drawn)
+        check_sampler_budget(drawn, block_size)
+        return block_size, block
 
     plan = _innovation_copies(events, given)
     if plan is not None:
@@ -416,7 +428,7 @@ def event_indicators(
                     out[j] = copies[j].indicator_at(w)
             return out
 
-        return default_block_size(level + 1), innovation_block
+        return sized(level + 1, innovation_block)
 
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
     max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
@@ -431,13 +443,13 @@ def event_indicators(
             xi = factor.apply(z, 1 << read_level)
             return np.stack([r.indicator_at(xi) for r in reads.reduced])
 
-        return default_block_size(read_level), read_block
+        return sized(read_level, read_block)
 
     def level_block(gen: np.random.Generator, count: int) -> np.ndarray:
         levels = levels_to(level, gen, count)
         return np.stack([e.indicator(levels) for e in events])
 
-    return default_block_size(level), level_block
+    return sized(level, level_block)
 
 
 def _check_common(depth: int, min_level: int, samples: int) -> None:
@@ -447,7 +459,6 @@ def _check_common(depth: int, min_level: int, samples: int) -> None:
         )
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    check_sampler_budget(depth, default_block_size(depth))
 
 
 def estimate_measure(
@@ -464,10 +475,9 @@ def estimate_measure(
     Draws only what the set reads (see :func:`event_indicators`): two
     standard complex values per realization for the symmetric difference of
     two acted level-0 disks, at any level, and the set's own level vector
-    for a set that reads all of it.  ``depth`` is validated only: it must
-    reach the set's level, and a tree that deep must fit the sampler budget
-    (:func:`~whirly_lab.tree.check_sampler_budget`), but the draws do not
-    depend on it.
+    for a set that reads all of it.  A set whose blocks would not fit the
+    sampler budget is refused with a ``ValueError`` before any draw.
+    ``depth`` must reach the set's level and decides nothing else.
     """
     _check_common(depth, target.level, samples)
     block_size, indicators = event_indicators([target])
@@ -502,10 +512,10 @@ def estimate_joint_events(
 
     With ``given`` the samples come from the exact conditional law pinned at
     that level vector; one event and a ``given`` estimate a conditional
-    measure.  The events are sampled through :func:`event_indicators`, so
-    ``depth`` is validated as in :func:`estimate_measure`: it must reach
-    every event's level and that of ``given``, and a tree that deep must fit
-    the sampler budget, but the counts do not depend on it.
+    measure.  The events are sampled through :func:`event_indicators`,
+    which refuses a family whose blocks would not fit the sampler budget
+    before any draw.  ``depth`` must reach every event's level and that of
+    ``given`` and decides nothing else.
     """
     n_events = len(events)
     if not 1 <= n_events <= MAX_JOINT_EVENTS:

@@ -6,10 +6,17 @@ import json
 import pytest
 
 import whirly_lab.experiments as experiments_module
+import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
 from whirly_lab.cli import main, parse_set_spec
 from whirly_lab.rng import RngStream
 from whirly_lab.sets import DiskProduct
+
+
+# A union is not a disk product, so the constants phase scans its translates.
+_UNION_SPEC = json.dumps(
+    {"kind": "union", "children": [{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}]}
+)
 
 
 def run_cli(capsys, *argv):
@@ -104,14 +111,13 @@ class TestEstimateCommand:
         _, out4, _ = run_cli(capsys, *args, "--workers", "4")
         assert out1 == out4
 
-    def test_oversized_depth_exits_two_before_drawing(self, capsys, monkeypatch):
-        def no_draw(gen, shape, out=None):
+    def test_over_budget_set_exits_two_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the budget")
 
-        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
-        code, out, err = run_cli(
-            capsys, "estimate", "--set", "disk:level0:r1.0", "--depth", "30", "--seed", "9"
-        )
+        for name in ("standard_complex", "sample_levels"):
+            monkeypatch.setattr(montecarlo_module, name, no_draw)
+        code, out, err = run_cli(capsys, "estimate", "--set", "disk:level20:r1.5", "--seed", "9")
         assert code == 2
         assert out == ""
         assert "budget" in err
@@ -176,7 +182,7 @@ class TestVerifyCommands:
         "argv",
         [
             ["positivity-scan", "--inner-samples", "400000000"],
-            ["whirly-search", "--inner-samples", "400000000"],
+            ["whirly-search", "--set", _UNION_SPEC, "--inner-samples", "400000000"],
             ["sharpness", "--dims", "100000", "--samples", "100000"],
             ["verify-action-identity", "--k", "30"],
         ],
@@ -192,6 +198,27 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert "budget" in err
+
+    def test_disk_search_does_not_budget_its_inner_samples(self, monkeypatch):
+        # A disk product's translated measures are exact, so no draw holds
+        # inner_samples level vectors; the first draw is the base estimate's.
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(*args, **kwargs):
+            raise FirstDraw
+
+        monkeypatch.setattr(tree_module, "standard_complex", first_draw)
+        with pytest.raises(FirstDraw):
+            main(["whirly-search", "--inner-samples", "70000000", "--samples", "1000", "--max-depth", "4"])
+
+    def test_deep_independence_fits_the_budget(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-independence", "--set", "disk:level14:r1.5", "--m", "6", "--samples", "100",
+            "--seed", "9",
+        )
+        assert code == 0, err
+        assert json.loads(out)["parameters"]["level"] == 14
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -246,8 +273,8 @@ class TestSuiteCommand:
     # alters the draws on purpose re-records them and says so in CHANGES.md.
     # At this seed the quick suite fails ``marginals`` alone and the full
     # suite passes every criterion.
-    _QUICK_SUITE_MD5 = "817857e05362394f318d29c1ff89edf0"
-    _SUITE_MD5 = "4a4a8bac39c1328f8ed020daa25bae9a"
+    _QUICK_SUITE_MD5 = "b437f2789300c08976fb1ea5874b9ab0"
+    _SUITE_MD5 = "6cf3c4bbe6079172d9cd05930fa34a5f"
 
     def test_quick_suite_output_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "suite", "--quick")

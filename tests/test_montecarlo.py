@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whirly_lab.montecarlo as montecarlo_module
-import whirly_lab.tree as tree_module
 from whirly_lab import (
     DepthMismatchError,
     GroupElement,
@@ -104,6 +103,16 @@ class TestTallyBlocks:
         serial = tally_blocks(self._counting_fn, 50_000, RngStream(72), block_size=4096, workers=1)
         threaded = tally_blocks(self._counting_fn, 50_000, RngStream(72), block_size=4096, workers=4)
         np.testing.assert_array_equal(serial, threaded)
+
+    def test_complex_totals_are_worker_invariant(self):
+        def complex_fn(gen, count):
+            z = standard_complex(gen, (count, 3))
+            return np.concatenate([z.sum(axis=0), (z * z).sum(axis=0)])
+
+        serial = tally_blocks(complex_fn, 50_000, RngStream(73), block_size=4096, workers=1)
+        threaded = tally_blocks(complex_fn, 50_000, RngStream(73), block_size=4096, workers=4)
+        assert serial.dtype == np.complex128
+        assert serial.tobytes() == threaded.tobytes()
 
     def test_block_size_shrinks_with_depth(self):
         assert default_block_size(0) >= default_block_size(8)
@@ -331,22 +340,26 @@ class TestJointEvents:
         with pytest.raises(ValueError):
             estimate_joint_events([d] * 13, 0, 1000, RngStream(85))
 
-    def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
-        def no_draw(gen, shape, out=None):
-            raise AssertionError("drew before checking the budget")
-
+    def test_depth_decides_nothing(self):
         disk = disk_product(0, 0j, 1.0)
         # The depths the benchmark passes: whirl-deep's table and the determinism probe.
         whirls = [acted_set(make_gsk(0.5, k), disk) for k in range(12)]
         assert sum(estimate_joint_events(whirls, 12, 1000, RngStream(87)).counts) == 1000
         probe = [acted_set(make_gsk(0.5, k), disk) for k in (0, 1)]
         assert sum(estimate_joint_events(probe, 2, 1000, RngStream(87)).counts) == 1000
-        monkeypatch.setattr(montecarlo_module, "standard_complex", no_draw)
-        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        deep = estimate_joint_events([disk], 40, 1000, RngStream(87))
+        assert deep.json_dict() == estimate_joint_events([disk], 0, 1000, RngStream(87)).json_dict()
+
+    def test_over_budget_family_is_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the budget")
+
+        # 64 realizations of level 20 hold over 2**26 values.
+        z = LevelVector(20, np.zeros(1 << 20, dtype=complex))
+        for name in ("standard_complex", "sample_levels", "conditional_levels"):
+            monkeypatch.setattr(montecarlo_module, name, no_draw)
         with pytest.raises(ValueError, match="budget"):
-            estimate_joint_events([disk], 40, 1000, RngStream(1))
-        with pytest.raises(ValueError, match="budget"):
-            estimate_joint_events([disk], 20, 1000, RngStream(1), given=LevelVector(0, [0j]))
+            estimate_joint_events([disk_product(20, 0j, 1.5)], 20, 1000, RngStream(1), given=z)
 
     def test_json_shape(self):
         d = disk_product(0, 0j, 1.0)
@@ -618,18 +631,21 @@ class TestReadPath:
         estimate_measure(target, 5, 1000, RngStream(100))
         assert set(depths) == {2}
 
-    def test_depth_is_checked_against_the_sampler_budget(self, monkeypatch):
-        def no_draw(gen, shape, out=None):
+    def test_depth_decides_nothing(self):
+        disk = disk_product(0, 0j, 1.0)
+        deep = estimate_measure(disk, 40, 1000, RngStream(101))
+        assert deep.to_json() == estimate_measure(disk, 0, 1000, RngStream(101)).to_json()
+
+    def test_budget_is_checked_on_the_level_the_blocks_fill(self, monkeypatch):
+        def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the budget")
 
-        disk = disk_product(0, 0j, 1.0)
-        # 64 trees to depth 19 hold just under 2**26 values; to depth 20, over.
-        deepest = estimate_measure(disk, 19, 1000, RngStream(101))
-        assert deepest.to_json() == estimate_measure(disk, 0, 1000, RngStream(101)).to_json()
-        monkeypatch.setattr(montecarlo_module, "standard_complex", no_draw)
-        monkeypatch.setattr(tree_module, "standard_complex", no_draw)
+        # 64 realizations of level 19 hold just under 2**26 values; of level 20, over.
+        assert event_indicators([disk_product(19, 0j, 1.5)])[0] == 64
+        for name in ("standard_complex", "sample_levels", "conditional_levels"):
+            monkeypatch.setattr(montecarlo_module, name, no_draw)
         with pytest.raises(ValueError, match="budget"):
-            estimate_measure(disk, 20, 1000, RngStream(101))
+            estimate_measure(disk_product(20, 0j, 1.5), 20, 1000, RngStream(101))
 
 
 def _disjoint_family():
