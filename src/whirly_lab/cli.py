@@ -190,8 +190,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     est = estimate_measure(
-        args.set, args.set.level, args.samples, _stream(args),
-        workers=args.workers, confidence=args.confidence,
+        args.set, args.set.level, args.samples, _stream(args), workers=args.workers, confidence=args.confidence
     )
     if args.format == "json":
         _emit_json(est.json_dict(), sys.stdout)

@@ -562,6 +562,11 @@ def _translated_hits(
     return hits
 
 
+def _exact_translates(target: BorelSet) -> bool:
+    """Whether :func:`_translated_measures` draws only the ``z`` for ``target``."""
+    return isinstance(target, DiskProduct)
+
+
 def _translated_measures(
     target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
 ) -> np.ndarray:
@@ -578,7 +583,7 @@ def _translated_measures(
     only the ``z`` are drawn.  Any other set is estimated by the Monte Carlo
     scan, ``_translated_hits(...) / inner_samples``.
     """
-    if not isinstance(target, DiskProduct):
+    if not _exact_translates(target):
         return _translated_hits(target, a, z_samples, inner_samples, rng) / inner_samples
     from scipy.special import chndtr  # scipy.stats has already imported it
 
@@ -677,12 +682,11 @@ def whirly_search(
     the block of ``rng.child(2)`` that holds it (see
     :func:`_translated_measures`).  Search phase: estimate, on one sample
     set from ``rng.child(3)``, the measures of the unions of the first ``m``
-    whirled copies ``g(epsilon, k) . K`` for ``k = n .. n+m-1``, ``n`` the
-    set's level, so the reported union curve is exactly monotone; ``m`` is
-    capped by the constants and so the deepest element fits in ``max_depth``.
-    Each copy reads only ``x_n`` and its own i.i.d. aggregated innovation,
-    so a later base level would draw the same union law, and none is
-    searched.  Whirling elements are sampled in innovation coordinates,
+    whirled copies ``g(epsilon, k) . K``, ``k = n .. n+m-1`` with ``n`` the
+    set's level (a later base level draws the same union law: each copy
+    reads only ``x_n`` and its own i.i.d. aggregated innovation), so the
+    union curve is exactly monotone; ``m`` is capped by the constants and
+    by ``max_depth``.  Whirling elements are sampled in innovation coordinates,
     ``m + 1`` level vectors per sample, and other elements through their
     reads or the deepest level they need (see
     :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes,
@@ -710,9 +714,8 @@ def whirly_search(
     if z_samples < 10 or inner_samples < MIN_SAMPLES:
         raise ValueError("constants phase needs z_samples >= 10 and inner_samples >= 100")
     # The constants phase draws all z in one call, and inner_samples level
-    # vectors per z unless their measures are exact (see _translated_measures).
-    exact = isinstance(target, DiskProduct)
-    check_sampler_budget(target.level, z_samples if exact else max(z_samples, inner_samples))
+    # vectors per z unless their measures are exact.
+    check_sampler_budget(target.level, z_samples if _exact_translates(target) else max(z_samples, inner_samples))
     started = time.perf_counter()
     n0 = target.level
 
@@ -746,36 +749,26 @@ def whirly_search(
         return np.logical_or.accumulate(stacked, axis=0).sum(axis=1).astype(np.int64)
 
     hits = tally_blocks(union_block, samples, rng.child(3), block_size=block_size, workers=workers)
-    found = False
-    found_m = -1
-    best_margin = -math.inf
-    best_estimate = 0.0
-    best_se = 0.0
-    curve: dict[str, float] = {}
-    for m in range(1, m_cap + 1):
-        estimate = hits[m - 1] / samples
-        se = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
-        margin = estimate - SIGMA_LIMIT * se
-        curve[f"union_n{n0}_m{m}"] = float(estimate)
-        if margin > best_margin:
-            best_margin = margin
-            best_estimate = estimate
-            best_se = se
-        if margin > 1.0 - epsilon:
-            found = True
-            found_m = m
-            break
+    estimates = hits / samples
+    ses = np.sqrt(estimates * (1.0 - estimates) / samples)
+    margins = estimates - SIGMA_LIMIT * ses
+    # The curve stops at the first union that clears 1 - epsilon.
+    passing = np.flatnonzero(margins > 1.0 - epsilon)
+    found_m = int(passing[0]) + 1 if passing.size else -1
+    shown = found_m if found_m > 0 else m_cap
+    best = int(np.argmax(margins[:shown]))
+    curve = {f"union_n{n0}_m{m}": float(e) for m, e in enumerate(estimates[:shown], 1)}
 
     observed = {
         "base_measure": base.estimate,
         "delta": delta,
         "m_theory": -1.0 if m_theory is None else float(m_theory),
-        "found": 1.0 if found else 0.0,
-        "found_n": float(n0 if found else -1),
+        "found": 1.0 if found_m > 0 else 0.0,
+        "found_n": float(n0 if found_m > 0 else -1),
         "found_m": float(found_m),
-        "union_estimate": float(best_estimate),
-        "union_se": float(best_se),
-        "union_margin": float(best_margin),
+        "union_estimate": float(estimates[best]),
+        "union_se": float(ses[best]),
+        "union_margin": float(margins[best]),
     }
     observed.update(curve)
     thresholds = {"union_margin": {"gt": 1.0 - epsilon}}

@@ -11,9 +11,8 @@ draws per sample for ``m`` distinct bits; other unconditional families
 through the exact joint law of their ``D`` stacked linear reads when ``D``
 plus the off-diagonal entries of their per-group triangular factors stays
 below ``2**L``; and otherwise the deepest level the family needs, never a
-level below it.  The sampler budget is checked on the level the blocks fill.
-An estimator's ``depth`` decides nothing: it is only required to reach the
-family's level.
+level below it.  The sampler budget is checked on the level the blocks fill;
+an estimator's ``depth`` decides nothing but must reach the family's level.
 
 Reads that share no column of the level vector are independent, so the read
 factor is block-diagonal over support groups and each group is factored on
@@ -50,6 +49,7 @@ import functools
 import json
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -144,7 +144,8 @@ def tally_blocks(
     depends only on the generator state and ``count``.  Blocks are laid out
     by index and block ``i`` uses ``rng.block(i)``, and the block results are
     summed in plan order, so the total is independent of ``workers``, for
-    float and complex tallies too.
+    float and complex tallies too.  Results go into a running total as they
+    come, and at most ``2 * workers`` are held at once, however many blocks.
 
     Each worker, the calling thread when ``workers <= 1`` and each pool
     thread otherwise, holds its own arena of :func:`block_buffer` arrays for
@@ -166,14 +167,27 @@ def tally_blocks(
     if workers <= 1:
         _open_arena()
         try:
-            results = [run(task) for task in plan]
+            return _sum_in_order(map(run, plan))
         finally:
             _worker.arena = None
-    else:
-        with ThreadPoolExecutor(max_workers=workers, initializer=_open_arena) as pool:
-            results = list(pool.map(run, plan))
-    total = results[0].copy()
-    for part in results[1:]:
+    with ThreadPoolExecutor(max_workers=workers, initializer=_open_arena) as pool:
+        return _sum_in_order(_bounded_map(pool, run, plan, 2 * workers))
+
+
+def _bounded_map(pool: ThreadPoolExecutor, fn: Callable, items: list, window: int):
+    """``pool.map(fn, items)`` that holds at most ``window`` results not yet taken."""
+    pending = deque(pool.submit(fn, item) for item in items[:window])
+    for item in items[window:]:
+        yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _sum_in_order(parts) -> np.ndarray:
+    """Running total of ``parts``, added in the order they come."""
+    total = next(parts).copy()
+    for part in parts:
         total += part
     return total
 
@@ -395,10 +409,8 @@ def event_indicators(
        needs, with :func:`~whirly_lab.tree.sample_levels` or
        :func:`~whirly_lab.tree.conditional_levels`, and no level below it.
 
-    Blocks are sized for the level their draws fill, and a block of that
-    size that would not fit the sampler budget
-    (:func:`~whirly_lab.tree.check_sampler_budget`) is refused with a
-    ``ValueError`` here, before anything is drawn.
+    Blocks are sized for the level their draws fill; a family whose blocks
+    would not fit the sampler budget is refused here, before any draw.
     """
 
     def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:

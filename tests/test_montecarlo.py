@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,25 @@ class TestTallyBlocks:
         threaded = tally_blocks(complex_fn, 50_000, RngStream(73), block_size=4096, workers=4)
         assert serial.dtype == np.complex128
         assert serial.tobytes() == threaded.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_block_results_are_not_kept_per_block(self, workers):
+        # A tally of 200 blocks holds its running total and the blocks in
+        # flight, never one result per block.
+        live: list[weakref.ref] = []
+        most = []
+        lock = threading.Lock()
+
+        def large_fn(gen, count):
+            part = np.full(4096, float(count))
+            with lock:
+                most.append(sum(ref() is not None for ref in live))
+                live.append(weakref.ref(part))
+            return part
+
+        total = tally_blocks(large_fn, 200 * 64, RngStream(74), block_size=64, workers=workers)
+        assert np.all(total == 200 * 64)
+        assert max(most) <= 2 * workers + 2, max(most)
 
     def test_block_size_shrinks_with_depth(self):
         assert default_block_size(0) >= default_block_size(8)
