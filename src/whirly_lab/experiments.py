@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import optimize
+from scipy.special import chndtr
 
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
 from .montecarlo import (
@@ -525,25 +526,24 @@ def verify_conditional_independence(
 # ---------------------------------------------------------------------------
 
 
-def _translated_hits(
+def _scanned_hits(
     target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
 ) -> np.ndarray:
-    """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each.
+    """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
+    by Monte Carlo.
 
-    The Monte Carlo scan behind :func:`positivity_scan`, and behind
-    :func:`whirly_search` for every target but a disk product, whose measures
-    :func:`_translated_measures` computes exactly; the tests hold those to
-    this scan.  The ``z`` are standard level vectors drawn from
-    ``rng.child(1)``.  They
-    are scanned in blocks of ``per_block = max(1, default_block_size(L) //
-    inner_samples)`` consecutive ``z``, ``L`` the set's level, so a block holds
-    at most ``2**16`` level values unless one ``z``'s samples alone exceed
-    that, and then it holds one ``z``.  Block ``i`` draws one array of shape
-    ``(count, inner_samples, 2**L)`` from block ``i`` of ``rng.child(2)``;
-    ``z`` number ``j`` takes row ``j - i*per_block`` of it, ``inner_samples``
-    fresh standard level vectors ``w``, and hits when
-    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.  Every block draws ``w``
-    into the leading rows of one buffer the scan allocates once.
+    The scan behind :func:`_translated_hits` and :func:`_translated_measures`
+    for every target but a disk product, and for a disk product the oracle
+    the tests hold the exact paths to.  The ``z`` are standard level vectors
+    drawn from ``rng.child(1)``.  They are scanned in blocks of ``per_block =
+    max(1, default_block_size(L) // inner_samples)`` consecutive ``z``, ``L``
+    the set's level, so a block holds at most ``2**16`` level values unless
+    one ``z``'s samples alone exceed that, and then it holds one ``z``.  Block
+    ``i`` draws one array of shape ``(count, inner_samples, 2**L)`` from block
+    ``i`` of ``rng.child(2)``; ``z`` number ``j`` takes row ``j - i*per_block``
+    of it, ``inner_samples`` fresh standard level vectors ``w``, and hits when
+    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.  Every block draws ``w`` into
+    the leading rows of one buffer the scan allocates once.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
@@ -571,7 +571,7 @@ def _translated_measures(
     target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
 ) -> np.ndarray:
     """Per-``z`` measures of ``sqrt(1+a**2)*K + a*z``, on the ``z`` of
-    :func:`_translated_hits` (same stream, same shape).
+    :func:`_scanned_hits` (same stream, same shape).
 
     For a :class:`~whirly_lab.sets.DiskProduct` the measure is exact: a
     standard level vector ``w`` lies in the translate when every entry has
@@ -581,16 +581,32 @@ def _translated_measures(
     ``|mu|**2`` (see :class:`~whirly_lab.tree.ComplexGaussianConvention`).  So
     the measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)``, and
     only the ``z`` are drawn.  Any other set is estimated by the Monte Carlo
-    scan, ``_translated_hits(...) / inner_samples``.
+    scan, ``_scanned_hits(...) / inner_samples``.
     """
     if not _exact_translates(target):
-        return _translated_hits(target, a, z_samples, inner_samples, rng) / inner_samples
-    from scipy.special import chndtr  # scipy.stats has already imported it
-
+        return _scanned_hits(target, a, z_samples, inner_samples, rng) / inner_samples
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
     offsets = np.abs(a * zs + scale * target.centers)
     return np.prod(chndtr(np.square(scale * target.radii), 2, np.square(offsets)), axis=1)
+
+
+def _translated_hits(
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
+) -> np.ndarray:
+    """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
+    on the ``z`` of :func:`_scanned_hits`.
+
+    Given ``z`` the inner samples are i.i.d., so the hit count of ``z`` is
+    ``Binomial(inner_samples, q(z))`` with ``q(z)`` its translated measure.
+    For a disk product ``q`` is exact (:func:`_translated_measures`), and the
+    counts are drawn from that law directly, in one call on the generator of
+    ``rng.child(2)``; any other target is scanned (:func:`_scanned_hits`).
+    """
+    if not _exact_translates(target):
+        return _scanned_hits(target, a, z_samples, inner_samples, rng)
+    measures = _translated_measures(target, a, z_samples, inner_samples, rng)
+    return rng.child(2).generator().binomial(inner_samples, measures)
 
 
 def positivity_scan(
@@ -607,11 +623,14 @@ def positivity_scan(
     clear of zero (threshold 0.99) plus the quantile structure of the
     translated measures: ``delta_at_f`` is the largest level ``d`` such that
     at least a fraction ``f`` of the scanned ``z`` satisfy ``measure >= d``.
-    Consecutive ``z`` share one draw of their inner samples, from the block
-    of ``rng.child(2)`` that holds them (see :func:`_translated_hits`).  A
-    scan whose draw of all ``z``, or of the inner samples for one ``z``,
-    would not fit the sampler budget is refused with a ``ValueError`` before
-    anything is drawn.
+    Each ``z`` gets ``inner_samples`` hit-or-miss trials (see
+    :func:`_translated_hits`): for a disk product its hit count is drawn
+    from its exact binomial law, and any other ``K`` is scanned, consecutive
+    ``z`` sharing one draw of inner samples from the block of
+    ``rng.child(2)`` that holds them.  A scan whose draw of all ``z``, or of
+    the inner samples for one ``z``, would not fit the sampler budget is
+    refused with a ``ValueError`` before anything is drawn; the check is the
+    same for a disk product, which draws no inner samples.
     """
     if z_samples < 10:
         raise ValueError("need at least 10 z samples")

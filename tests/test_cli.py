@@ -1,7 +1,7 @@
 """Command-line behavior: parsing, determinism, formats, and exit codes."""
 
-import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +17,36 @@ from whirly_lab.sets import DiskProduct
 _UNION_SPEC = json.dumps(
     {"kind": "union", "children": [{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}]}
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _leaves(value, path=""):
+    """Flatten parsed JSON to ``{dotted path: leaf}``."""
+    if isinstance(value, dict):
+        return {k: v for key, child in value.items() for k, v in _leaves(child, f"{path}.{key}" if path else key).items()}
+    if isinstance(value, list):
+        return {k: v for i, child in enumerate(value) for k, v in _leaves(child, f"{path}[{i}]").items()}
+    return {path: value}
+
+
+def assert_matches_golden(out: str, name: str) -> None:
+    """``out`` must equal ``tests/golden/<name>`` byte for byte; on a mismatch
+    the message names every field that moved, with its recorded and new value."""
+    recorded = (GOLDEN / name).read_text()
+    if out == recorded:
+        return
+    try:
+        old, new = _leaves(json.loads(recorded)), _leaves(json.loads(out))
+    except json.JSONDecodeError:
+        pytest.fail(f"output differs from {name} and is not JSON")
+    moved = [
+        f"{key}: {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key, ...) != new.get(key, ...)
+    ]
+    pytest.fail(f"output differs from {name}; moved fields:\n" + "\n".join(moved or ["(none: formatting only)"]))
 
 
 def run_cli(capsys, *argv):
@@ -267,14 +297,12 @@ class TestSuiteCommand:
         _, sharded, _ = run_cli(capsys, *args, "--workers", "2")
         assert serial == sharded
 
-    # md5 of the stdout of ``whirly-lab suite --quick`` and of the full-scale
-    # ``whirly-lab suite`` at the pinned seed.  A refactor or a kernel that
-    # must not move a draw or a bit leaves them as they are; a change that
-    # alters the draws on purpose re-records them and says so in CHANGES.md.
-    # At this seed the quick suite fails ``marginals`` alone and the full
-    # suite passes every criterion.
-    _QUICK_SUITE_MD5 = "b437f2789300c08976fb1ea5874b9ab0"
-    _SUITE_MD5 = "6cf3c4bbe6079172d9cd05930fa34a5f"
+    # ``tests/golden/suite_quick.json`` and ``suite.json`` hold the stdout of
+    # ``whirly-lab suite --quick`` and of the full-scale ``whirly-lab suite``
+    # at the pinned seed.  A refactor or a kernel that must not move a draw or
+    # a bit leaves them as they are; a change that alters the draws on purpose
+    # re-records them and says so in CHANGES.md.  At this seed the quick suite
+    # fails ``marginals`` alone and the full suite passes every criterion.
 
     def test_quick_suite_output_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "suite", "--quick")
@@ -282,13 +310,24 @@ class TestSuiteCommand:
         assert [line.split(":")[0] for line in err.splitlines() if line.startswith("FAIL")] == [
             "FAIL marginals"
         ]
-        assert hashlib.md5(out.encode()).hexdigest() == self._QUICK_SUITE_MD5
+        assert_matches_golden(out, "suite_quick.json")
 
     def test_full_suite_output_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "suite")
         assert code == 0
         assert not [line for line in err.splitlines() if line.startswith("FAIL")]
-        assert hashlib.md5(out.encode()).hexdigest() == self._SUITE_MD5
+        assert_matches_golden(out, "suite.json")
+
+    def test_golden_mismatch_names_the_moved_fields(self):
+        recorded = (GOLDEN / "suite_quick.json").read_text()
+        payload = json.loads(recorded)
+        payload["criteria"]["positivity"]["observed"]["delta_at_95"] = 0.5
+        with pytest.raises(pytest.fail.Exception) as failure:
+            assert_matches_golden(json.dumps(payload, indent=2, sort_keys=True) + "\n", "suite_quick.json")
+        lines = str(failure.value).splitlines()[1:]
+        assert len(lines) == 1
+        assert lines[0].startswith("criteria.positivity.observed.delta_at_95: ")
+        assert lines[0].endswith(" -> 0.5")
 
     def test_unknown_criterion_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import whirly_lab.experiments as experiments_module
+import whirly_lab.montecarlo as montecarlo_module
+import whirly_lab.tree as tree_module
 from whirly_lab import (
     ExperimentReport,
     LevelVector,
@@ -193,10 +195,47 @@ class TestPositivity:
         with pytest.raises(ValueError):
             positivity_scan(point, -2.0, 20, 2000, RngStream(120))
 
+    @pytest.mark.parametrize(
+        "target, scans",
+        [
+            (disk_product(1, [0.3 - 0.2j, -0.4j], 1.4), False),
+            (affine_image(disk_product(1, [0.3 - 0.2j, -0.4j], 1.4), 1.5, 0.2), True),
+        ],
+    )
+    def test_only_non_disk_targets_draw_inner_samples(self, monkeypatch, target, scans):
+        # A disk product's hit counts come from one binomial draw: the only
+        # level vectors drawn are the z and the base estimate's blocks.
+        shapes, scanned = [], []
+        draw = tree_module.standard_complex
+
+        def recording(gen, shape, out=None):
+            shapes.append(tuple(shape))
+            return draw(gen, shape, out)
+
+        def spy(*args):
+            scanned.append(args[0])
+            return scanned_hits(*args)
+
+        scanned_hits = experiments_module._scanned_hits
+        for module in (tree_module, montecarlo_module, experiments_module):
+            monkeypatch.setattr(module, "standard_complex", recording)
+        monkeypatch.setattr(experiments_module, "_scanned_hits", spy)
+        z_samples, inner, width = 40, 2000, 1 << target.level
+        report = positivity_scan(target, -1.0, z_samples, inner, RngStream(143))
+        assert shapes.count((z_samples, width)) == 1
+        blocks = [s for s in shapes if s[1:] == (inner, width)]
+        assert scanned == ([target] if scans else [])
+        assert bool(blocks) == scans
+        if not scans:
+            base = [s for s in shapes if s != (z_samples, width)]
+            assert all(len(s) == 2 for s in base)
+            assert sum(s[0] for s in base) == inner
+        assert 0.0 < report.observed["median_translated"] < 1.0
+
 
 class TestTranslatedScan:
-    """The blocked fiber scan behind ``positivity_scan``, and the exact
-    measures that replace it in ``whirly_search`` for disk products.
+    """The blocked fiber scan ``_scanned_hits``, and the exact measures and
+    binomial hit counts that replace it for disk products.
 
     40 z of 2000 inner samples fill blocks of 32 and 8 z at level 0, and of
     16, 16 and 8 z at level 1, so every test reaches a partial last block.
@@ -204,9 +243,13 @@ class TestTranslatedScan:
 
     Z_SAMPLES = 40
     INNER = 2000
-    # Four sets of 40 z: 160 comparisons.  A two-sided 4.5-sigma limit on each
-    # keeps the family-wise false-alarm rate under 160 * 6.8e-6 = 1.1e-3.
+    # Six sets of 40 z: 240 comparisons.  A two-sided 4.5-sigma limit on each
+    # keeps the family-wise false-alarm rate under 240 * 6.8e-6 = 1.7e-3.
     SIGMA = 4.5
+
+    @staticmethod
+    def _disk(centers, radius):
+        return disk_product((len(centers) - 1).bit_length(), np.asarray(centers), radius)
 
     @staticmethod
     def _disk_mass_product(target, a, zs):
@@ -225,10 +268,9 @@ class TestTranslatedScan:
         binomial standard errors.  The closed form is the disk-mass product,
         or with ``exact`` the constants phase's ``_translated_measures`` on
         the same z."""
-        level = (len(centers) - 1).bit_length()
-        target = disk_product(level, np.asarray(centers), radius)
+        target = self._disk(centers, radius)
         rng = RngStream(seed)
-        hits = experiments_module._translated_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+        hits = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
         if exact:
             p = experiments_module._translated_measures(target, a, self.Z_SAMPLES, self.INNER, rng)
         else:
@@ -263,6 +305,20 @@ class TestTranslatedScan:
         zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
         np.testing.assert_allclose(exact, self._disk_mass_product(target, a, zs), rtol=1e-12, atol=0.0)
 
+    def test_binomial_hits_follow_the_scan_on_the_same_z(self):
+        # Same z (rng.child(1)), independent inner draws: the scan's blocks of
+        # rng.child(2) against the binomial draw on its generator.  Off-center
+        # disks and both signs of a, so a wrong sign or center moves the law.
+        for centers, radius, a, seed in (([0.6 - 0.4j], 1.5, 1.0, 141), ([0.7 + 0.2j, -0.5 - 0.6j], 1.8, -0.8, 142)):
+            target = self._disk(centers, radius)
+            rng = RngStream(seed)
+            binomial = experiments_module._translated_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+            scanned = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+            p1, p2 = binomial / self.INNER, scanned / self.INNER
+            se = np.sqrt(self.INNER * (p1 * (1.0 - p1) + p2 * (1.0 - p2)))
+            sigmas = [experiments_module._sigma(float(d), float(e)) for d, e in zip(binomial - scanned, se)]
+            assert np.max(np.abs(sigmas)) < self.SIGMA
+
     def test_blocks_draw_whole_z_within_the_cache_budget(self, monkeypatch):
         shapes = []
 
@@ -281,7 +337,7 @@ class TestTranslatedScan:
             shapes.clear()
             width = 1 << level
             target = disk_product(level, 0j, 1.0)
-            experiments_module._translated_hits(target, -1.0, z_samples, inner, RngStream(132))
+            experiments_module._scanned_hits(target, -1.0, z_samples, inner, RngStream(132))
             per_block = max(1, default_block_size(level) // inner)
             assert shapes[0] == (z_samples, width)
             blocks = shapes[1:]
@@ -359,11 +415,11 @@ class TestWhirlySearch:
 
         def spy(*args):
             scanned.append(args[0])
-            return translated_hits(*args)
+            return scanned_hits(*args)
 
-        translated_hits = experiments_module._translated_hits
+        scanned_hits = experiments_module._scanned_hits
         monkeypatch.setattr(experiments_module, "standard_complex", recording)
-        monkeypatch.setattr(experiments_module, "_translated_hits", spy)
+        monkeypatch.setattr(experiments_module, "_scanned_hits", spy)
         report = whirly_search(target, 0.5, 2000, target.level + 3, RngStream(138), z_samples=20, inner_samples=300)
         width = 1 << target.level
         assert (20, width) in shapes
