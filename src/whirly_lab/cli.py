@@ -105,7 +105,7 @@ def resolve_seed(value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{ENV_SEED} must be an integer, got {env!r}")
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}")
     return DEFAULT_SEED
 
 

@@ -27,6 +27,7 @@ from scipy.special import chndtr
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
 from .montecarlo import (
     MIN_SAMPLES,
+    MeasureEstimate,
     block_buffer,
     block_plan,
     default_block_size,
@@ -156,34 +157,23 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def verify_marginals(
-    n: int,
-    samples: int,
-    rng: RngStream,
-    *,
-    level_sampler: Callable[[int, int, np.random.Generator], list[np.ndarray]] | None = None,
-) -> ExperimentReport:
+def verify_marginals(n: int, samples: int, rng: RngStream) -> ExperimentReport:
     """Check that level-n values and aggregated innovations up to three levels
     deeper are jointly standard: means near 0, second moments near 2, and all
     pairwise cross-moments near 0, each within 3 standard errors.
-
-    ``level_sampler`` replaces the tree sampler (same signature as
-    :func:`whirly_lab.tree.sample_levels`); it exists so tests can demonstrate
-    that a mis-normalized sampler is caught.
     """
     if not 0 <= n <= 8:
         raise ValueError("n must lie in [0, 8]")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     started = time.perf_counter()
-    sampler = level_sampler if level_sampler is not None else sample_levels
     depth = n + 4
     width = 1 << n
     n_vars = 5 * width
 
     def moment_block(gen: np.random.Generator, count: int) -> np.ndarray:
         # First moments, squared moduli and cross products in one vector.
-        levels = sampler(depth, count, gen)
+        levels = sample_levels(depth, count, gen)
         columns = [levels[n]] + [u_stat_arrays(levels, n, k) for k in range(n, n + 4)]
         w = np.concatenate(columns, axis=1)
         return np.concatenate(
@@ -532,16 +522,16 @@ def _scanned_hits(
     """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
     by Monte Carlo.
 
-    The scan behind :func:`_translated_hits` and :func:`_translated_measures`
-    for every target but a disk product, and for a disk product the oracle
-    the tests hold the exact paths to.  The ``z`` are standard level vectors
-    drawn from ``rng.child(1)``.  They are scanned in blocks of ``per_block =
-    max(1, default_block_size(L) // inner_samples)`` consecutive ``z``, ``L``
-    the set's level, so a block holds at most ``2**16`` level values unless
-    one ``z``'s samples alone exceed that, and then it holds one ``z``.  Block
-    ``i`` draws one array of shape ``(count, inner_samples, 2**L)`` from block
-    ``i`` of ``rng.child(2)``; ``z`` number ``j`` takes row ``j - i*per_block``
-    of it, ``inner_samples`` fresh standard level vectors ``w``, and hits when
+    The scan behind :func:`_fiber_scan` for every target but a disk product,
+    and for a disk product the oracle the tests hold the exact fiber to.  The
+    ``z`` are standard level vectors drawn from ``rng.child(1)``.  They are
+    scanned in blocks of ``per_block = max(1, default_block_size(L) //
+    inner_samples)`` consecutive ``z``, ``L`` the set's level, so a block
+    holds at most ``2**16`` level values unless one ``z``'s samples alone
+    exceed that, and then it holds one ``z``.  Block ``i`` draws one array of
+    shape ``(count, inner_samples, 2**L)`` from block ``i`` of
+    ``rng.child(2)``; ``z`` number ``j`` takes row ``j - i*per_block`` of it,
+    ``inner_samples`` fresh standard level vectors ``w``, and hits when
     ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.  Every block draws ``w`` into
     the leading rows of one buffer the scan allocates once.
     """
@@ -562,51 +552,47 @@ def _scanned_hits(
     return hits
 
 
-def _exact_translates(target: BorelSet) -> bool:
-    """Whether :func:`_translated_measures` draws only the ``z`` for ``target``."""
-    return isinstance(target, DiskProduct)
+def _fiber_scan(
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, base_samples: int, rng: RngStream
+) -> tuple[MeasureEstimate, np.ndarray, np.ndarray | None]:
+    """The fiber of ``K`` at ``a``: ``(base, measures, hits)``.
 
-
-def _translated_measures(
-    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
-) -> np.ndarray:
-    """Per-``z`` measures of ``sqrt(1+a**2)*K + a*z``, on the ``z`` of
-    :func:`_scanned_hits` (same stream, same shape).
-
-    For a :class:`~whirly_lab.sets.DiskProduct` the measure is exact: a
-    standard level vector ``w`` lies in the translate when every entry has
-    ``|w_i - (a*z_i + s*c_i)| < s*r_i``, ``s = sqrt(1+a**2)``, and the
-    squared distance of a standard complex Gaussian from a point ``mu`` is
+    ``base`` estimates the measure of ``K`` on ``base_samples`` draws of
+    ``rng.child(0)``, and a ``K`` whose interval reaches 0 is refused.
+    ``measures`` holds the measure of ``sqrt(1+a**2)*K + a*z`` for each ``z``
+    of :func:`_scanned_hits` (same stream, same shape).  For a
+    :class:`~whirly_lab.sets.DiskProduct` it is exact and only the ``z`` are
+    drawn: ``w`` lies in the translate when ``|w_i - (a*z_i + s*c_i)| <
+    s*r_i`` for every ``i``, ``s = sqrt(1+a**2)``, and ``|w_i - mu|**2`` is
     noncentral chi-square with 2 degrees of freedom and noncentrality
-    ``|mu|**2`` (see :class:`~whirly_lab.tree.ComplexGaussianConvention`).  So
-    the measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)``, and
-    only the ``z`` are drawn.  Any other set is estimated by the Monte Carlo
-    scan, ``_scanned_hits(...) / inner_samples``.
+    ``|mu|**2`` (:class:`~whirly_lab.tree.ComplexGaussianConvention`), so the
+    measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)`` and
+    ``hits`` is ``None``.  Any other ``K`` is scanned: ``hits`` holds
+    :func:`_scanned_hits`'s counts and ``measures`` is ``hits /
+    inner_samples``.  Fewer than 10 ``z`` or ``MIN_SAMPLES`` inner samples,
+    or a draw that would not fit the sampler budget (all ``z``, and for a
+    scanned ``K`` one ``z``'s inner samples), is refused with a
+    ``ValueError`` before anything is drawn.
     """
-    if not _exact_translates(target):
-        return _scanned_hits(target, a, z_samples, inner_samples, rng) / inner_samples
+    if z_samples < 10:
+        raise ValueError("need at least 10 z samples")
+    if inner_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
+    exact = isinstance(target, DiskProduct)
+    # All z come in one call, and a scanned block holds at most
+    # max(default_block_size(level), inner_samples) level vectors; the
+    # base estimate checks its own blocks.
+    check_sampler_budget(target.level, z_samples if exact else max(z_samples, inner_samples))
+    base = estimate_measure(target, target.level, base_samples, rng.child(0))
+    if not base.ci_low > 0.0:
+        raise ValueError("target set is estimated null; its translated measures are uninformative")
+    if not exact:
+        hits = _scanned_hits(target, a, z_samples, inner_samples, rng)
+        return base, hits / inner_samples, hits
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
     offsets = np.abs(a * zs + scale * target.centers)
-    return np.prod(chndtr(np.square(scale * target.radii), 2, np.square(offsets)), axis=1)
-
-
-def _translated_hits(
-    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
-) -> np.ndarray:
-    """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
-    on the ``z`` of :func:`_scanned_hits`.
-
-    Given ``z`` the inner samples are i.i.d., so the hit count of ``z`` is
-    ``Binomial(inner_samples, q(z))`` with ``q(z)`` its translated measure.
-    For a disk product ``q`` is exact (:func:`_translated_measures`), and the
-    counts are drawn from that law directly, in one call on the generator of
-    ``rng.child(2)``; any other target is scanned (:func:`_scanned_hits`).
-    """
-    if not _exact_translates(target):
-        return _scanned_hits(target, a, z_samples, inner_samples, rng)
-    measures = _translated_measures(target, a, z_samples, inner_samples, rng)
-    return rng.child(2).generator().binomial(inner_samples, measures)
+    return base, np.prod(chndtr(np.square(scale * target.radii), 2, np.square(offsets)), axis=1), None
 
 
 def positivity_scan(
@@ -623,32 +609,18 @@ def positivity_scan(
     clear of zero (threshold 0.99) plus the quantile structure of the
     translated measures: ``delta_at_f`` is the largest level ``d`` such that
     at least a fraction ``f`` of the scanned ``z`` satisfy ``measure >= d``.
-    Each ``z`` gets ``inner_samples`` hit-or-miss trials (see
-    :func:`_translated_hits`): for a disk product its hit count is drawn
-    from its exact binomial law, and any other ``K`` is scanned, consecutive
-    ``z`` sharing one draw of inner samples from the block of
-    ``rng.child(2)`` that holds them.  A scan whose draw of all ``z``, or of
-    the inner samples for one ``z``, would not fit the sampler budget is
-    refused with a ``ValueError`` before anything is drawn; the check is the
-    same for a disk product, which draws no inner samples.
+    Each ``z`` gets ``inner_samples`` hit-or-miss trials, on the fiber of
+    :func:`_fiber_scan`, which also validates and budgets the scan.  Given
+    ``z`` the trials are i.i.d., so where that fiber is exact the hit count
+    of ``z`` is drawn from ``Binomial(inner_samples, q(z))``, all in one call
+    on the generator of ``rng.child(2)``.
     """
-    if z_samples < 10:
-        raise ValueError("need at least 10 z samples")
-    if inner_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
-    # The scan draws all z in one call, then blocks of whole z: at most
-    # max(default_block_size(level), inner_samples) level vectors per call.
-    # The first bound is checked by estimate_measure below.
-    check_sampler_budget(target.level, max(z_samples, inner_samples))
     started = time.perf_counter()
     n = target.level
-
-    base = estimate_measure(target, n, max(inner_samples, MIN_SAMPLES), rng.child(0))
-    if not base.ci_low > 0.0:
-        raise ValueError("target set is estimated null; translated measures are uninformative")
-
-    hits = _translated_hits(target, a, z_samples, inner_samples, rng)
-    measures = hits / inner_samples
+    base, measures, hits = _fiber_scan(target, a, z_samples, inner_samples, inner_samples, rng)
+    if hits is None:
+        hits = rng.child(2).generator().binomial(inner_samples, measures)
+        measures = hits / inner_samples
     clear = sum(1 for h in hits if wilson_interval(int(h), inner_samples)[0] > 0.0)
 
     fractions = {"50": 0.50, "75": 0.75, "87": math.sqrt(1.0 - 0.25), "95": 0.95}
@@ -694,12 +666,9 @@ def whirly_search(
     vectors ``z`` from ``rng.child(1)`` and find the largest ``delta`` such
     that the translated measure ``sqrt(1+a**2)*K + a*z`` exceeds ``delta``
     for more than a ``sqrt(1-epsilon/2)`` fraction of ``z``; from ``delta``
-    derive the union length ``m`` that the constants guarantee.  For a disk
-    product the measure of each ``z`` is exact, a product of noncentral
-    chi-square CDFs, and ``inner_samples`` sizes only the base estimate; any
-    other ``K`` is measured on ``inner_samples`` level vectors per ``z``, from
-    the block of ``rng.child(2)`` that holds it (see
-    :func:`_translated_measures`).  Search phase: estimate, on one sample
+    derive the union length ``m`` that the constants guarantee.  The
+    measures, the base estimate and their validation and budget are
+    :func:`_fiber_scan`'s.  Search phase: estimate, on one sample
     set from ``rng.child(3)``, the measures of the unions of the first ``m``
     whirled copies ``g(epsilon, k) . K``, ``k = n .. n+m-1`` with ``n`` the
     set's level (a later base level draws the same union law: each copy
@@ -712,10 +681,8 @@ def whirly_search(
     with ``found_n = n``, as soon as one union clears ``1 - epsilon`` by
     three standard errors; reaching the cap is a failure (``found_n = -1``),
     not an exception.  A ``max_depth`` whose elements would hold more than
-    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases, or ``z_samples``
-    level vectors that would not fit that budget in one draw, or, unless
-    ``K`` is a disk product, ``inner_samples`` that would not, is refused
-    with a ``ValueError`` before anything is drawn or built.
+    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases is refused with a
+    ``ValueError`` before anything is drawn or built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -730,21 +697,14 @@ def whirly_search(
             f"max_depth {max_depth} needs whirling elements with about 2**{max_depth + 1} "
             f"phases, above the sampler budget of {MAX_SAMPLER_VALUES}"
         )
-    if z_samples < 10 or inner_samples < MIN_SAMPLES:
-        raise ValueError("constants phase needs z_samples >= 10 and inner_samples >= 100")
-    # The constants phase draws all z in one call, and inner_samples level
-    # vectors per z unless their measures are exact.
-    check_sampler_budget(target.level, z_samples if _exact_translates(target) else max(z_samples, inner_samples))
     started = time.perf_counter()
     n0 = target.level
 
-    base = estimate_measure(target, n0, max(inner_samples, samples // 10), rng.child(0))
-    if not base.ci_low > 0.0:
-        raise ValueError("target set is estimated null; nothing to search for")
-
     # Constants phase.
+    base, translated, _ = _fiber_scan(
+        target, -1.0 / epsilon, z_samples, inner_samples, max(inner_samples, samples // 10), rng
+    )
     needed_fraction = math.sqrt(1.0 - epsilon / 2.0)
-    translated = _translated_measures(target, -1.0 / epsilon, z_samples, inner_samples, rng)
     ordered = np.sort(translated)[::-1]
     rank = min(int(needed_fraction * z_samples) + 1, z_samples)
     delta = float(ordered[rank - 1])

@@ -203,6 +203,11 @@ def _normal_quantile(confidence: float) -> float:
     return float(stats.norm.ppf(0.5 * (1.0 + confidence)))
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie strictly between 0 and 1")
+
+
 def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -213,8 +218,7 @@ def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDE
         raise ValueError("samples must be positive")
     if not 0 <= hits <= samples:
         raise ValueError("hits must lie in [0, samples]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly between 0 and 1")
+    _check_confidence(confidence)
     z = _normal_quantile(confidence)
     p = hits / samples
     zz = z * z / samples
@@ -488,10 +492,12 @@ def estimate_measure(
     standard complex values per realization for the symmetric difference of
     two acted level-0 disks, at any level, and the set's own level vector
     for a set that reads all of it.  A set whose blocks would not fit the
-    sampler budget is refused with a ``ValueError`` before any draw.
-    ``depth`` must reach the set's level and decides nothing else.
+    sampler budget, or a ``confidence`` outside (0, 1), is refused with a
+    ``ValueError`` before any draw.  ``depth`` must reach the set's level and
+    decides nothing else.
     """
     _check_common(depth, target.level, samples)
+    _check_confidence(confidence)
     block_size, indicators = event_indicators([target])
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:

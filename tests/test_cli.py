@@ -13,7 +13,7 @@ from whirly_lab.rng import RngStream
 from whirly_lab.sets import DiskProduct
 
 
-# A union is not a disk product, so the constants phase scans its translates.
+# A union is not a disk product, so its translates are scanned.
 _UNION_SPEC = json.dumps(
     {"kind": "union", "children": [{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}]}
 )
@@ -102,6 +102,14 @@ class TestSampleCommand:
         _, out1, _ = run_cli(capsys, "sample", "--depth", "2", "--seed", "5")
         _, out2, _ = run_cli(capsys, "sample", "--depth", "2", "--seed", "6")
         assert out1 != out2
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WHIRLY_LAB_SEED", "abc")
+        code, out, err = run_cli(capsys, "sample", "--depth", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "WHIRLY_LAB_SEED" in err
 
     def test_env_seed_is_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("WHIRLY_LAB_SEED", "5")
@@ -211,7 +219,7 @@ class TestVerifyCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["positivity-scan", "--inner-samples", "400000000"],
+            ["positivity-scan", "--set", _UNION_SPEC, "--inner-samples", "400000000"],
             ["whirly-search", "--set", _UNION_SPEC, "--inner-samples", "400000000"],
             ["sharpness", "--dims", "100000", "--samples", "100000"],
             ["verify-action-identity", "--k", "30"],
@@ -241,6 +249,20 @@ class TestVerifyCommands:
         monkeypatch.setattr(tree_module, "standard_complex", first_draw)
         with pytest.raises(FirstDraw):
             main(["whirly-search", "--inner-samples", "70000000", "--samples", "1000", "--max-depth", "4"])
+
+    def test_disk_positivity_does_not_budget_its_inner_samples(self, monkeypatch):
+        # A disk product's hit counts are drawn from their binomial law, so no
+        # draw holds inner_samples level vectors; the first draw is the base
+        # estimate's.
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(*args, **kwargs):
+            raise FirstDraw
+
+        monkeypatch.setattr(tree_module, "standard_complex", first_draw)
+        with pytest.raises(FirstDraw):
+            main(["positivity-scan", "--inner-samples", "400000000"])
 
     def test_deep_independence_fits_the_budget(self, capsys):
         code, out, err = run_cli(

@@ -83,8 +83,9 @@ class TestMarginals:
         report = verify_marginals(1, 20_000, RngStream(104))
         assert report.passed
 
-    def test_catches_missing_renormalization(self):
-        report = verify_marginals(1, 5000, RngStream(105), level_sampler=bad_sampler)
+    def test_catches_missing_renormalization(self, monkeypatch):
+        monkeypatch.setattr(experiments_module, "sample_levels", bad_sampler)
+        report = verify_marginals(1, 5000, RngStream(105))
         assert not report.passed
         assert report.observed["max_second_moment_sigma"] > 10.0
 
@@ -234,8 +235,9 @@ class TestPositivity:
 
 
 class TestTranslatedScan:
-    """The blocked fiber scan ``_scanned_hits``, and the exact measures and
-    binomial hit counts that replace it for disk products.
+    """The blocked fiber scan ``_scanned_hits``, and the exact measures of
+    ``_fiber_scan`` and the binomial hit counts that replace it for disk
+    products.
 
     40 z of 2000 inner samples fill blocks of 32 and 8 z at level 0, and of
     16, 16 and 8 z at level 1, so every test reaches a partial last block.
@@ -266,13 +268,12 @@ class TestTranslatedScan:
     def _sigmas(self, centers, radius, a, seed, *, exact=False):
         """Per-z deviation of the hit fraction from the closed form, in
         binomial standard errors.  The closed form is the disk-mass product,
-        or with ``exact`` the constants phase's ``_translated_measures`` on
-        the same z."""
+        or with ``exact`` the measures of ``_fiber_scan`` on the same z."""
         target = self._disk(centers, radius)
         rng = RngStream(seed)
         hits = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
         if exact:
-            p = experiments_module._translated_measures(target, a, self.Z_SAMPLES, self.INNER, rng)
+            _, p, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
         else:
             zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
             p = self._disk_mass_product(target, a, zs)
@@ -301,18 +302,21 @@ class TestTranslatedScan:
         width = 1 << level
         target = disk_product(level, 0.6 * standard_complex(gen, (width,)), 0.8 + gen.random(width))
         rng = RngStream(135)
-        exact = experiments_module._translated_measures(target, a, self.Z_SAMPLES, self.INNER, rng)
+        _, exact, hits = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
+        assert hits is None
         zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
         np.testing.assert_allclose(exact, self._disk_mass_product(target, a, zs), rtol=1e-12, atol=0.0)
 
     def test_binomial_hits_follow_the_scan_on_the_same_z(self):
         # Same z (rng.child(1)), independent inner draws: the scan's blocks of
-        # rng.child(2) against the binomial draw on its generator.  Off-center
-        # disks and both signs of a, so a wrong sign or center moves the law.
+        # rng.child(2) against the binomial draw on its generator, as
+        # positivity_scan makes it.  Off-center disks and both signs of a, so
+        # a wrong sign or center moves the law.
         for centers, radius, a, seed in (([0.6 - 0.4j], 1.5, 1.0, 141), ([0.7 + 0.2j, -0.5 - 0.6j], 1.8, -0.8, 142)):
             target = self._disk(centers, radius)
             rng = RngStream(seed)
-            binomial = experiments_module._translated_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+            _, exact, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
+            binomial = rng.child(2).generator().binomial(self.INNER, exact)
             scanned = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
             p1, p2 = binomial / self.INNER, scanned / self.INNER
             se = np.sqrt(self.INNER * (p1 * (1.0 - p1) + p2 * (1.0 - p2)))
@@ -438,13 +442,29 @@ class TestWhirlySearch:
     def test_subnormal_delta_leaves_the_union_length_open(self, monkeypatch):
         # A product of tail masses can be subnormal; the length then overflows
         # a float and the search runs every feasible length, as for delta 0.
-        monkeypatch.setattr(
-            experiments_module, "_translated_measures", lambda target, a, z, inner, rng: np.full(z, 1e-320)
-        )
+        fiber_scan = experiments_module._fiber_scan
+
+        def subnormal(*args):
+            base, measures, hits = fiber_scan(*args)
+            return base, np.full_like(measures, 1e-320), hits
+
+        monkeypatch.setattr(experiments_module, "_fiber_scan", subnormal)
         report = whirly_search(UNIT_DISK, 0.5, 200, 2, RngStream(139), z_samples=20, inner_samples=200)
         assert report.observed["delta"] == 1e-320
         assert report.observed["m_theory"] == -1.0
         assert "union_n0_m2" in report.observed
+
+    @pytest.mark.parametrize("target", [UNIT_DISK, affine_image(UNIT_DISK, 1.5, 0.2)])
+    def test_delta_is_a_rank_of_the_fiber_measures(self, target):
+        # The constants phase reads delta off _fiber_scan's measures at
+        # a = -1/epsilon, on the same stream: rank min(int(sqrt(1-e/2)*z)+1, z).
+        epsilon, z_samples, inner = 0.5, 30, 400
+        report = whirly_search(target, epsilon, 2000, 3, RngStream(144), z_samples=z_samples, inner_samples=inner)
+        _, measures, _ = experiments_module._fiber_scan(
+            target, -1.0 / epsilon, z_samples, inner, inner, RngStream(144)
+        )
+        rank = min(int(math.sqrt(1.0 - epsilon / 2.0) * z_samples) + 1, z_samples)
+        assert report.observed["delta"] == np.sort(measures)[::-1][rank - 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -283,6 +283,16 @@ class TestEstimateMeasure:
         with pytest.raises(ValueError):
             estimate_measure(d, 2, 50, RngStream(75))
 
+    @pytest.mark.parametrize("confidence", [1.5, 0.0])
+    def test_bad_confidence_is_refused_before_any_draw(self, monkeypatch, confidence):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the confidence")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        monkeypatch.setattr(RngStream, "block", refuse)
+        with pytest.raises(ValueError, match="confidence"):
+            estimate_measure(disk_product(0, 0j, 1.0), 0, 3_000_000, RngStream(75), confidence=confidence)
+
     def test_worker_invariance_is_byte_exact(self):
         d = disk_product(1, 0j, 1.2)
         a = estimate_measure(d, 1, 30_000, RngStream(76), workers=1)
