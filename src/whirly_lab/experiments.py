@@ -29,7 +29,6 @@ from .montecarlo import (
     MIN_SAMPLES,
     MeasureEstimate,
     block_buffer,
-    block_plan,
     default_block_size,
     estimate_joint_events,
     estimate_measure,
@@ -517,43 +516,41 @@ def verify_conditional_independence(
 
 
 def _scanned_hits(
-    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream, workers: int = 1
 ) -> np.ndarray:
     """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
     by Monte Carlo.
 
     The scan behind :func:`_fiber_scan` for every target but a disk product,
     and for a disk product the oracle the tests hold the exact fiber to.  The
-    ``z`` are standard level vectors drawn from ``rng.child(1)``.  They are
-    scanned in blocks of ``per_block = max(1, default_block_size(L) //
-    inner_samples)`` consecutive ``z``, ``L`` the set's level, so a block
-    holds at most ``2**16`` level values unless one ``z``'s samples alone
-    exceed that, and then it holds one ``z``.  Block ``i`` draws one array of
-    shape ``(count, inner_samples, 2**L)`` from block ``i`` of
-    ``rng.child(2)``; ``z`` number ``j`` takes row ``j - i*per_block`` of it,
-    ``inner_samples`` fresh standard level vectors ``w``, and hits when
-    ``(w - a*z_j)/sqrt(1+a**2)`` lies in ``K``.  Every block draws ``w`` into
-    the leading rows of one buffer the scan allocates once.
+    ``z`` are standard level vectors drawn from ``rng.child(1)``.  One
+    :func:`~whirly_lab.montecarlo.tally_blocks` call on ``rng.child(2)``
+    draws ``inner_samples`` standard level vectors ``w`` in blocks of
+    ``default_block_size(L)``, ``L`` the set's level, and a block counts for
+    every ``z`` the ``w`` with ``(w - a*z)/sqrt(1+a**2)`` in ``K``.  Given
+    ``z`` a count is ``Binomial(inner_samples, q(z))``; the counts of
+    different ``z`` share their draws, so they are dependent.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
-    zs = standard_complex(rng.child(1).generator(), (z_samples, width))
-    inner_stream = rng.child(2)
-    per_block = max(1, default_block_size(target.level) // inner_samples)
-    plan = block_plan(z_samples, per_block)
-    buffer = np.empty((plan[0][1], inner_samples, width), dtype=np.complex128)
-    hits = np.empty(z_samples, dtype=np.int64)
-    for index, count in plan:
-        rows = slice(index * per_block, index * per_block + count)
-        w = standard_complex(inner_stream.block(index), (count, inner_samples, width), out=buffer[:count])
-        w -= a * zs[rows, None, :]
-        inside = target.indicator_at(_div_real(w, scale).reshape(count * inner_samples, width))
-        hits[rows] = np.count_nonzero(inside.reshape(count, inner_samples), axis=1)
-    return hits
+    shifts = a * standard_complex(rng.child(1).generator(), (z_samples, width))
+
+    def scan_block(gen: np.random.Generator, count: int) -> np.ndarray:
+        w = standard_complex(gen, (count, width), out=block_buffer("scan", (count, width)))
+        moved = block_buffer("scan_moved", (count, width))
+        hits = np.empty(z_samples, dtype=np.int64)
+        for j, shift in enumerate(shifts):
+            np.subtract(w, shift, out=moved)
+            hits[j] = np.count_nonzero(target.indicator_at(_div_real(moved, scale)))
+        return hits
+
+    block_size = default_block_size(target.level)
+    return tally_blocks(scan_block, inner_samples, rng.child(2), block_size=block_size, workers=workers)
 
 
 def _fiber_scan(
-    target: BorelSet, a: float, z_samples: int, inner_samples: int, base_samples: int, rng: RngStream
+    target: BorelSet, a: float, z_samples: int, inner_samples: int, base_samples: int, rng: RngStream,
+    workers: int = 1,
 ) -> tuple[MeasureEstimate, np.ndarray, np.ndarray | None]:
     """The fiber of ``K`` at ``a``: ``(base, measures, hits)``.
 
@@ -569,25 +566,21 @@ def _fiber_scan(
     measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)`` and
     ``hits`` is ``None``.  Any other ``K`` is scanned: ``hits`` holds
     :func:`_scanned_hits`'s counts and ``measures`` is ``hits /
-    inner_samples``.  Fewer than 10 ``z`` or ``MIN_SAMPLES`` inner samples,
-    or a draw that would not fit the sampler budget (all ``z``, and for a
-    scanned ``K`` one ``z``'s inner samples), is refused with a
+    inner_samples``.  Both tallies run on ``workers`` threads.  Fewer than
+    10 ``z`` or ``MIN_SAMPLES`` inner samples, or a draw that would not fit
+    the sampler budget (all ``z`` at once, or one block), is refused with a
     ``ValueError`` before anything is drawn.
     """
     if z_samples < 10:
         raise ValueError("need at least 10 z samples")
     if inner_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} inner samples")
-    exact = isinstance(target, DiskProduct)
-    # All z come in one call, and a scanned block holds at most
-    # max(default_block_size(level), inner_samples) level vectors; the
-    # base estimate checks its own blocks.
-    check_sampler_budget(target.level, z_samples if exact else max(z_samples, inner_samples))
-    base = estimate_measure(target, target.level, base_samples, rng.child(0))
+    check_sampler_budget(target.level, max(z_samples, default_block_size(target.level)))
+    base = estimate_measure(target, target.level, base_samples, rng.child(0), workers=workers)
     if not base.ci_low > 0.0:
         raise ValueError("target set is estimated null; its translated measures are uninformative")
-    if not exact:
-        hits = _scanned_hits(target, a, z_samples, inner_samples, rng)
+    if not isinstance(target, DiskProduct):
+        hits = _scanned_hits(target, a, z_samples, inner_samples, rng, workers)
         return base, hits / inner_samples, hits
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
@@ -607,13 +600,15 @@ def positivity_scan(
 
     Reports the fraction of scanned ``z`` whose Wilson interval is strictly
     clear of zero (threshold 0.99) plus the quantile structure of the
-    translated measures: ``delta_at_f`` is the largest level ``d`` such that
-    at least a fraction ``f`` of the scanned ``z`` satisfy ``measure >= d``.
-    Each ``z`` gets ``inner_samples`` hit-or-miss trials, on the fiber of
-    :func:`_fiber_scan`, which also validates and budgets the scan.  Given
-    ``z`` the trials are i.i.d., so where that fiber is exact the hit count
-    of ``z`` is drawn from ``Binomial(inner_samples, q(z))``, all in one call
-    on the generator of ``rng.child(2)``.
+    translated measures: ``delta_at_f`` is ``np.quantile(measures, 1 - f)``,
+    interpolated linearly between order statistics, so slightly fewer than a
+    fraction ``f`` of the ``z`` may reach it, and it may lie below the
+    largest level that a fraction ``f`` of them reach.  Each ``z`` gets
+    ``inner_samples`` hit-or-miss trials, on the fiber of :func:`_fiber_scan`,
+    which also validates and budgets the scan.  Given ``z`` the trials are
+    i.i.d., so where that fiber is exact the hit count of ``z`` is drawn from
+    ``Binomial(inner_samples, q(z))``, all in one call on the generator of
+    ``rng.child(2)``.
     """
     started = time.perf_counter()
     n = target.level
@@ -702,7 +697,7 @@ def whirly_search(
 
     # Constants phase.
     base, translated, _ = _fiber_scan(
-        target, -1.0 / epsilon, z_samples, inner_samples, max(inner_samples, samples // 10), rng
+        target, -1.0 / epsilon, z_samples, inner_samples, max(inner_samples, samples // 10), rng, workers
     )
     needed_fraction = math.sqrt(1.0 - epsilon / 2.0)
     ordered = np.sort(translated)[::-1]

@@ -146,8 +146,9 @@ def tally_blocks(
     summed in plan order, so the total is independent of ``workers``, for
     float and complex tallies too.  Results go into a running total as they
     come, and at most ``2 * workers`` are held at once, however many blocks.
+    A ``workers`` below 1 is refused with a ``ValueError`` before any draw.
 
-    Each worker, the calling thread when ``workers <= 1`` and each pool
+    Each worker, the calling thread when ``workers == 1`` and each pool
     thread otherwise, holds its own arena of :func:`block_buffer` arrays for
     the span of this call.  The calling thread's arena is dropped when the
     call returns or raises; a pool thread's ends with the thread, when the
@@ -158,13 +159,15 @@ def tally_blocks(
         raise ValueError("samples must be positive")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     plan = block_plan(samples, block_size)
 
     def run(task: tuple[int, int]) -> np.ndarray:
         index, count = task
         return np.asarray(block_fn(rng.block(index), count))
 
-    if workers <= 1:
+    if workers == 1:
         _open_arena()
         try:
             return _sum_in_order(map(run, plan))

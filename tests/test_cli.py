@@ -160,6 +160,20 @@ class TestEstimateCommand:
         assert out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_two_before_any_draw(self, capsys, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the worker count")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        monkeypatch.setattr(RngStream, "block", refuse)
+        code, out, err = run_cli(
+            capsys, "estimate", "--set", "disk:level0:r1", "--samples", "1000", "--workers", workers
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers must be positive" in err
+
     def test_missing_set_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--samples", "1000"])
@@ -219,8 +233,9 @@ class TestVerifyCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["positivity-scan", "--set", _UNION_SPEC, "--inner-samples", "400000000"],
-            ["whirly-search", "--set", _UNION_SPEC, "--inner-samples", "400000000"],
+            # 64 level-20 vectors, the smallest block, exceed the budget.
+            ["positivity-scan", "--set", "disk:level20:r1.5"],
+            ["whirly-search", "--set", "disk:level20:r1.5", "--max-depth", "21"],
             ["sharpness", "--dims", "100000", "--samples", "100000"],
             ["verify-action-identity", "--k", "30"],
         ],
@@ -238,21 +253,9 @@ class TestVerifyCommands:
         assert "budget" in err
 
     def test_disk_search_does_not_budget_its_inner_samples(self, monkeypatch):
-        # A disk product's translated measures are exact, so no draw holds
-        # inner_samples level vectors; the first draw is the base estimate's.
-        class FirstDraw(Exception):
-            pass
-
-        def first_draw(*args, **kwargs):
-            raise FirstDraw
-
-        monkeypatch.setattr(tree_module, "standard_complex", first_draw)
-        with pytest.raises(FirstDraw):
-            main(["whirly-search", "--inner-samples", "70000000", "--samples", "1000", "--max-depth", "4"])
-
-    def test_disk_positivity_does_not_budget_its_inner_samples(self, monkeypatch):
-        # A disk product's hit counts are drawn from their binomial law, so no
-        # draw holds inner_samples level vectors; the first draw is the base
+        # A disk product's translated measures are exact, and a scanned
+        # target's blocks hold default_block_size level vectors, so no draw
+        # holds inner_samples level vectors; the first draw is the base
         # estimate's.
         class FirstDraw(Exception):
             pass
@@ -261,8 +264,25 @@ class TestVerifyCommands:
             raise FirstDraw
 
         monkeypatch.setattr(tree_module, "standard_complex", first_draw)
-        with pytest.raises(FirstDraw):
-            main(["positivity-scan", "--inner-samples", "400000000"])
+        for target in ([], ["--set", _UNION_SPEC]):
+            with pytest.raises(FirstDraw):
+                main(["whirly-search", *target, "--inner-samples", "70000000", "--samples", "1000", "--max-depth", "4"])
+
+    def test_disk_positivity_does_not_budget_its_inner_samples(self, monkeypatch):
+        # A disk product's hit counts are drawn from their binomial law, and a
+        # scanned target's from blocks of default_block_size level vectors,
+        # so no draw holds inner_samples level vectors; the first draw is the
+        # base estimate's.
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(*args, **kwargs):
+            raise FirstDraw
+
+        monkeypatch.setattr(tree_module, "standard_complex", first_draw)
+        for target in ([], ["--set", _UNION_SPEC]):
+            with pytest.raises(FirstDraw):
+                main(["positivity-scan", *target, "--inner-samples", "400000000"])
 
     def test_deep_independence_fits_the_budget(self, capsys):
         code, out, err = run_cli(

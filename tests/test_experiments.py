@@ -23,6 +23,7 @@ from whirly_lab import (
     identity,
     make_gsk,
     positivity_scan,
+    random_element,
     sharpness_check,
     standard_complex,
     verify_action_identity,
@@ -206,7 +207,7 @@ class TestPositivity:
     def test_only_non_disk_targets_draw_inner_samples(self, monkeypatch, target, scans):
         # A disk product's hit counts come from one binomial draw: the only
         # level vectors drawn are the z and the base estimate's blocks.
-        shapes, scanned = [], []
+        shapes, scanned, scan = [], [], []
         draw = tree_module.standard_complex
 
         def recording(gen, shape, out=None):
@@ -214,8 +215,13 @@ class TestPositivity:
             return draw(gen, shape, out)
 
         def spy(*args):
+            # Move the scan's draws from shapes to scan.
+            start = len(shapes)
+            hits = scanned_hits(*args)
             scanned.append(args[0])
-            return scanned_hits(*args)
+            scan.extend(shapes[start:])
+            del shapes[start:]
+            return hits
 
         scanned_hits = experiments_module._scanned_hits
         for module in (tree_module, montecarlo_module, experiments_module):
@@ -223,24 +229,28 @@ class TestPositivity:
         monkeypatch.setattr(experiments_module, "_scanned_hits", spy)
         z_samples, inner, width = 40, 2000, 1 << target.level
         report = positivity_scan(target, -1.0, z_samples, inner, RngStream(143))
-        assert shapes.count((z_samples, width)) == 1
-        blocks = [s for s in shapes if s[1:] == (inner, width)]
+        assert (shapes + scan).count((z_samples, width)) == 1
         assert scanned == ([target] if scans else [])
+        blocks = scan[1:]
         assert bool(blocks) == scans
-        if not scans:
-            base = [s for s in shapes if s != (z_samples, width)]
-            assert all(len(s) == 2 for s in base)
-            assert sum(s[0] for s in base) == inner
+        if scans:
+            assert scan[0] == (z_samples, width)
+            assert all(s[1:] == (width,) for s in blocks)
+            assert sum(s[0] for s in blocks) == inner
+        base = [s for s in shapes if s != (z_samples, width)]
+        assert all(len(s) == 2 for s in base)
+        assert sum(s[0] for s in base) == inner
         assert 0.0 < report.observed["median_translated"] < 1.0
 
 
 class TestTranslatedScan:
-    """The blocked fiber scan ``_scanned_hits``, and the exact measures of
+    """The fiber scan ``_scanned_hits``, and the exact measures of
     ``_fiber_scan`` and the binomial hit counts that replace it for disk
     products.
 
-    40 z of 2000 inner samples fill blocks of 32 and 8 z at level 0, and of
-    16, 16 and 8 z at level 1, so every test reaches a partial last block.
+    The scan scores all 40 z on one tally of 2000 inner samples, a single
+    block at levels 0 and 1; each count is binomial given its z, and the
+    counts of different z share their draws.
     """
 
     Z_SAMPLES = 40
@@ -323,7 +333,9 @@ class TestTranslatedScan:
             sigmas = [experiments_module._sigma(float(d), float(e)) for d, e in zip(binomial - scanned, se)]
             assert np.max(np.abs(sigmas)) < self.SIGMA
 
-    def test_blocks_draw_whole_z_within_the_cache_budget(self, monkeypatch):
+    def test_every_z_is_counted_on_the_same_blocks(self, monkeypatch):
+        # After the z, the scan draws blocks of default_block_size(level) level
+        # vectors from rng.child(2), and every z is counted on all of them.
         shapes = []
 
         def recording(gen, shape, out=None):
@@ -331,23 +343,39 @@ class TestTranslatedScan:
             return standard_complex(gen, shape, out)
 
         monkeypatch.setattr(experiments_module, "standard_complex", recording)
-        cases = [
-            (0, 40, 2000, [32, 8]),
-            (1, 40, 2000, [16, 16, 8]),
-            # One z alone exceeds 2**16 values: a block per z.
-            (0, 10, 70_000, [1] * 10),
-        ]
-        for level, z_samples, inner, counts in cases:
+        z_samples, inner, a = 10, 70_000, -1.0
+        scale = math.sqrt(1.0 + a * a)
+        cases = [([0.6 - 0.4j], [65536, 4464]), ([0.7 + 0.2j, -0.5 - 0.6j], [32768, 32768, 4464])]
+        for centers, counts in cases:
             shapes.clear()
-            width = 1 << level
-            target = disk_product(level, 0j, 1.0)
-            experiments_module._scanned_hits(target, -1.0, z_samples, inner, RngStream(132))
-            per_block = max(1, default_block_size(level) // inner)
-            assert shapes[0] == (z_samples, width)
-            blocks = shapes[1:]
-            assert len(blocks) == math.ceil(z_samples / per_block)
-            assert blocks == [(count, inner, width) for count in counts]
-            assert all(math.prod(b) <= max(1 << 16, inner * width) for b in blocks)
+            target = self._disk(centers, 1.5)
+            width = 1 << target.level
+            rng = RngStream(132)
+            hits = experiments_module._scanned_hits(target, a, z_samples, inner, rng)
+            plan = montecarlo_module.block_plan(inner, default_block_size(target.level))
+            assert [count for _, count in plan] == counts
+            assert shapes == [(z_samples, width)] + [(count, width) for count in counts]
+            zs = standard_complex(rng.child(1).generator(), (z_samples, width))
+            recount = np.zeros(z_samples, dtype=np.int64)
+            for i, count in enumerate(counts):
+                w = standard_complex(rng.child(2).block(i), (count, width))
+                for j, z in enumerate(zs):
+                    recount[j] += np.count_nonzero(target.indicator_at(tree_module._div_real(w - a * z, scale)))
+            np.testing.assert_array_equal(hits, recount)
+
+    def test_scan_blocks_are_budgeted_before_any_draw(self, monkeypatch):
+        # 64 level-20 vectors, the smallest block, exceed the sampler budget.
+        # The acted disk's base estimate draws one read per sample, so only
+        # the fiber's own check refuses it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the budget")
+
+        acted = acted_set(random_element(20, np.random.default_rng(145)), disk_product(0, 0j, 1.5))
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        monkeypatch.setattr(RngStream, "block", refuse)
+        for target in (boolean_combine("union", [disk_product(20, 0j, 1.5)]), acted):
+            with pytest.raises(ValueError, match="budget"):
+                experiments_module._fiber_scan(target, -1.0, 10, self.INNER, self.INNER, RngStream(145))
 
 
 class TestWhirlySearch:
@@ -411,15 +439,18 @@ class TestWhirlySearch:
         ],
     )
     def test_only_non_disk_targets_scan_inner_samples(self, monkeypatch, target, scans):
-        shapes, scanned = [], []
+        shapes, scanned, scan = [], [], []
 
         def recording(gen, shape, out=None):
             shapes.append(tuple(shape))
             return standard_complex(gen, shape, out)
 
         def spy(*args):
+            start = len(shapes)
+            hits = scanned_hits(*args)
             scanned.append(args[0])
-            return scanned_hits(*args)
+            scan.extend(shapes[start:])
+            return hits
 
         scanned_hits = experiments_module._scanned_hits
         monkeypatch.setattr(experiments_module, "standard_complex", recording)
@@ -427,9 +458,10 @@ class TestWhirlySearch:
         report = whirly_search(target, 0.5, 2000, target.level + 3, RngStream(138), z_samples=20, inner_samples=300)
         width = 1 << target.level
         assert (20, width) in shapes
-        blocks = [s for s in shapes if s[1:] == (300, width)]
+        blocks = scan[1:]
         assert scanned == ([target] if scans else [])
         assert bool(blocks) == scans
+        assert sum(s[0] for s in blocks) == (300 if scans else 0)
         assert 0.0 < report.observed["delta"] < 1.0
 
     def test_tiny_exact_delta_gives_a_finite_union_length(self):

@@ -43,6 +43,7 @@ from whirly_lab import (
     standard_complex,
     symmetric_difference,
     tally_blocks,
+    whirly_search,
     wilson_interval,
 )
 from whirly_lab.montecarlo import ReadFactor, block_buffer
@@ -133,6 +134,15 @@ class TestTallyBlocks:
         total = tally_blocks(large_fn, 200 * 64, RngStream(74), block_size=64, workers=workers)
         assert np.all(total == 200 * 64)
         assert max(most) <= 2 * workers + 2, max(most)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_are_refused_before_any_draw(self, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the worker count")
+
+        monkeypatch.setattr(RngStream, "block", refuse)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            tally_blocks(refuse, 10_000, RngStream(75), block_size=1000, workers=workers)
 
     def test_block_size_shrinks_with_depth(self):
         assert default_block_size(0) >= default_block_size(8)
@@ -599,6 +609,20 @@ def _joint_table_of(make, given=None):
     return run
 
 
+def _search_of(make):
+    """``run(extra_depth, workers)``: the report JSON, runtime excluded, of a
+    whirly search on ``make()``; the search has no depth, so ``extra_depth``
+    is ignored.  140k inner samples put the scanned fiber in three blocks."""
+
+    def run(extra: int, workers: int) -> str:
+        report = whirly_search(
+            make(), 0.5, 2000, 3, RngStream(98), z_samples=20, inner_samples=140_000, workers=workers
+        )
+        return report.to_json(include_runtime=False)
+
+    return run
+
+
 class TestReadPath:
     """Sets that read fewer values than their level holds are sampled
     through the exact joint law of their reads."""
@@ -626,8 +650,9 @@ class TestReadPath:
             _measure_of(lambda: disk_product(1, 0j, 1.2)),
             _joint_table_of(_scrambled_family),
             _joint_table_of(_conditional_family, _GIVEN_1),
+            _search_of(lambda: boolean_combine("union", [disk_product(0, 0j, 1.0), disk_product(0, 1.0, 0.8)])),
         ],
-        ids=["reads", "level", "joint-reads", "joint-given"],
+        ids=["reads", "level", "joint-reads", "joint-given", "scanned-fiber"],
     )
     def test_depth_and_workers_do_not_change_the_draws(self, run):
         assert run(0, 1) == run(3, 1) == run(0, 4)
