@@ -67,6 +67,8 @@ class Criterion:
     def run(self, seed: int = ACCEPTANCE_SEED, workers: int = 1, scale: float = 1.0) -> ExperimentReport:
         if scale <= 0.0:
             raise ValueError("scale must be positive")
+        if workers < 1:
+            raise ValueError("workers must be positive")
         return self.runner(seed, workers, scale)
 
 
@@ -368,9 +370,7 @@ def _run_engineering(seed: int, workers: int, scale: float) -> ExperimentReport:
 
     conv_serial = verify_convolution(target, 1.0, samples, stream.child(1), workers=1)
     conv_threaded = verify_convolution(target, 1.0, samples, stream.child(1), workers=4)
-    report_identical = conv_serial.to_json(include_runtime=False) == conv_threaded.to_json(
-        include_runtime=False
-    )
+    report_identical = conv_serial.to_json() == conv_threaded.to_json()
 
     truth = disk_mass(1.0)
     runs = _scaled(200, scale, 50)

@@ -135,7 +135,7 @@ def _flatten(section: str, mapping: dict) -> list[tuple[str, str, str]]:
 
 def _emit_report(report: ExperimentReport, fmt: str, out) -> None:
     if fmt == "json":
-        _emit_json(report.json_dict(include_runtime=False), out)
+        _emit_json(report.json_dict(), out)
         return
     writer = csv.writer(out)
     writer.writerow(["section", "key", "value"])
@@ -290,7 +290,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         "seed": seed,
         "scale": scale,
         "pass": all_passed,
-        "criteria": {c.key: r.json_dict(include_runtime=False) for c, r in results},
+        "criteria": {c.key: r.json_dict() for c, r in results},
     }
     _emit_json(payload, sys.stdout)
     return 0 if all_passed else 1

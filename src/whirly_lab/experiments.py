@@ -47,7 +47,6 @@ from .sets import (
     symmetric_difference,
 )
 from .tree import (
-    MAX_SAMPLER_VALUES,
     LevelVector,
     _div_real,
     check_sampler_budget,
@@ -108,8 +107,9 @@ class ExperimentReport:
                     return False
         return True
 
-    def json_dict(self, include_runtime: bool = True) -> dict:
-        out = {
+    def json_dict(self) -> dict:
+        """The deterministic body: every field but the wall-clock ``runtime_ms``."""
+        return {
             "name": self.name,
             "parameters": self.parameters,
             "observed": self.observed,
@@ -117,12 +117,9 @@ class ExperimentReport:
             "pass": self.passed,
             "seed": self.seed,
         }
-        if include_runtime:
-            out["runtime_ms"] = self.runtime_ms
-        return out
 
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.json_dict(include_runtime), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.json_dict(), indent=2, sort_keys=True)
 
 
 def _sigma(diff: float, se: float) -> float:
@@ -675,9 +672,10 @@ def whirly_search(
     :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes,
     with ``found_n = n``, as soon as one union clears ``1 - epsilon`` by
     three standard errors; reaching the cap is a failure (``found_n = -1``),
-    not an exception.  A ``max_depth`` whose elements would hold more than
-    :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` phases is refused with a
-    ``ValueError`` before anything is drawn or built.
+    not an exception.  The elements hold about as many phases as one tree to
+    ``max_depth``, so :func:`~whirly_lab.tree.check_sampler_budget` refuses
+    ``max_depth >= 26`` with a ``ValueError`` before anything is drawn or
+    built.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -685,13 +683,9 @@ def whirly_search(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if max_depth < target.level + 1:
         raise ValueError("max_depth leaves no room for any whirling element")
-    # The elements for k < max_depth hold 2**(k + 1) phases each, close to
-    # 2**(max_depth + 1) in all; refuse before building any of them.
-    if max_depth + 1 >= MAX_SAMPLER_VALUES.bit_length():
-        raise ValueError(
-            f"max_depth {max_depth} needs whirling elements with about 2**{max_depth + 1} "
-            f"phases, above the sampler budget of {MAX_SAMPLER_VALUES}"
-        )
+    # The elements for k < max_depth hold 2**(k + 1) phases each, as many in
+    # all as one tree to max_depth; refuse before building any of them.
+    check_sampler_budget(max_depth, 1)
     started = time.perf_counter()
     n0 = target.level
 
@@ -773,9 +767,11 @@ def sharpness_check(
     ``5/sqrt(dims)`` on the sample mean) and ``(x - b*y)/a`` at
     ``sqrt(1 + b**2)/|a|`` (tolerance 0.01).  The second value equals 1, the
     RMS of a standard vector, exactly when ``a**2 == b**2 + 1``; the report's
-    ``criterion_gap`` records ``|a**2 - b**2 - 1|``.  ``samples * dims``
-    above :data:`~whirly_lab.tree.MAX_SAMPLER_VALUES` is refused with a
-    ``ValueError`` before anything is drawn.
+    ``criterion_gap`` records ``|a**2 - b**2 - 1|``.  ``x`` and ``y`` are
+    the two halves of one :func:`~whirly_lab.tree.standard_complex` draw of
+    ``samples * dims`` values read as reals, which
+    :func:`~whirly_lab.tree.check_sampler_budget` refuses before any draw
+    when it would not fit the sampler budget.
     """
     if a == 0.0:
         raise ValueError("a must be nonzero")
@@ -783,16 +779,10 @@ def sharpness_check(
         raise ValueError("dims must be at least 1000")
     if samples < 10:
         raise ValueError("need at least 10 repetitions")
-    # x and y hold as many bytes as samples * dims complex values.
-    if samples * dims > MAX_SAMPLER_VALUES:
-        raise ValueError(
-            f"{samples} samples of {dims} dimensions hold {2 * samples * dims} normals, "
-            f"above the sampler budget of {MAX_SAMPLER_VALUES} complex values"
-        )
+    check_sampler_budget(0, samples * dims)
     started = time.perf_counter()
-    gen = rng.generator()
-    x = gen.standard_normal((samples, dims))
-    y = gen.standard_normal((samples, dims))
+    normals = standard_complex(rng.generator(), (samples * dims,)).view(np.float64)
+    x, y = normals.reshape(2, samples, dims)
 
     combined = np.sqrt(np.mean((a * x + b * y) ** 2, axis=1))
     inverse = np.sqrt(np.mean(((x - b * y) / a) ** 2, axis=1))

@@ -51,7 +51,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -89,8 +89,12 @@ _MAX_READ_ENTRIES = 1 << 20
 
 
 def default_block_size(depth: int) -> int:
-    """Fixed block size used by the shard rule at a given sampling depth."""
-    return max(_MIN_BLOCK, _BLOCK_LEAF_BUDGET >> depth)
+    """Fixed block size used by the shard rule at a given sampling depth.
+    A depth whose block does not fit the sampler budget (from 20 on) is
+    refused by :func:`~whirly_lab.tree.check_sampler_budget`."""
+    size = max(_MIN_BLOCK, _BLOCK_LEAF_BUDGET >> depth)
+    check_sampler_budget(depth, size)
+    return size
 
 
 def block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
@@ -245,7 +249,6 @@ class MeasureEstimate:
     hits: int
     seed: int
     confidence: float = DEFAULT_CONFIDENCE
-    stream_id: int = field(default=0, compare=False)
 
     @property
     def std_error(self) -> float:
@@ -416,19 +419,15 @@ def event_indicators(
        needs, with :func:`~whirly_lab.tree.sample_levels` or
        :func:`~whirly_lab.tree.conditional_levels`, and no level below it.
 
-    Blocks are sized for the level their draws fill; a family whose blocks
-    would not fit the sampler budget is refused here, before any draw.
+    Blocks are sized by :func:`default_block_size` for the level their draws
+    fill, so a family whose blocks would not fit the sampler budget is
+    refused there, before any draw.
     """
 
     def levels_to(to: int, gen: np.random.Generator, count: int) -> list[np.ndarray]:
         if given is None:
             return sample_levels(to, count, gen, out=block_buffer("levels", (count, 1 << to)))
         return conditional_levels(given.entries, given.level, to, count, gen)
-
-    def sized(drawn: int, block: Callable) -> tuple[int, Callable]:
-        block_size = default_block_size(drawn)
-        check_sampler_budget(drawn, block_size)
-        return block_size, block
 
     plan = _innovation_copies(events, given)
     if plan is not None:
@@ -447,7 +446,7 @@ def event_indicators(
                     out[j] = copies[j].indicator_at(w)
             return out
 
-        return sized(level + 1, innovation_block)
+        return default_block_size(level + 1), innovation_block
 
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
     max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
@@ -462,13 +461,13 @@ def event_indicators(
             xi = factor.apply(z, 1 << read_level)
             return np.stack([r.indicator_at(xi) for r in reads.reduced])
 
-        return sized(read_level, read_block)
+        return default_block_size(read_level), read_block
 
     def level_block(gen: np.random.Generator, count: int) -> np.ndarray:
         levels = levels_to(level, gen, count)
         return np.stack([e.indicator(levels) for e in events])
 
-    return sized(level, level_block)
+    return default_block_size(level), level_block
 
 
 def _check_common(depth: int, min_level: int, samples: int) -> None:
@@ -516,7 +515,6 @@ def estimate_measure(
         hits=total,
         seed=rng.master_seed,
         confidence=confidence,
-        stream_id=rng.stream_id,
     )
 
 

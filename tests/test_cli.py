@@ -238,6 +238,7 @@ class TestVerifyCommands:
             ["whirly-search", "--set", "disk:level20:r1.5", "--max-depth", "21"],
             ["sharpness", "--dims", "100000", "--samples", "100000"],
             ["verify-action-identity", "--k", "30"],
+            ["verify-convolve", "--set", "disk:level20:r1.5"],
         ],
     )
     def test_oversized_draws_exit_two_before_allocating(self, capsys, monkeypatch, argv):
@@ -370,6 +371,17 @@ class TestSuiteCommand:
         assert len(lines) == 1
         assert lines[0].startswith("criteria.positivity.observed.delta_at_95: ")
         assert lines[0].endswith(" -> 0.5")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_two_before_any_report(self, capsys, workers):
+        # None of these criteria hands its worker count to a tally, so only
+        # the criterion itself can refuse it.
+        code, out, err = run_cli(
+            capsys, "suite", "--quick", "--workers", workers, "--criteria", "sharpness,identities,positivity"
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers must be positive" in err
 
     def test_unknown_criterion_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")

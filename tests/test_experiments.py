@@ -1,6 +1,7 @@
 """Verifier experiments: happy paths at reduced samples, negative controls
 that must fail, and report mechanics."""
 
+import json
 import math
 
 import numpy as np
@@ -66,17 +67,17 @@ class TestReportMechanics:
 
     def test_json_isolates_runtime(self):
         report = verify_action_identity(0, 1, 0.5, 10, RngStream(102))
-        with_runtime = report.json_dict()
-        without = report.json_dict(include_runtime=False)
-        assert "runtime_ms" in with_runtime
-        assert "runtime_ms" not in without
-        assert without["pass"] is True
-        assert without["seed"] == 102
+        payload = report.json_dict()
+        assert report.runtime_ms >= 0
+        assert "runtime_ms" not in payload
+        assert payload["pass"] is True
+        assert payload["seed"] == 102
+        assert json.loads(report.to_json()) == payload
 
     def test_reports_are_deterministic(self):
         a = verify_marginals(1, 4000, RngStream(103))
         b = verify_marginals(1, 4000, RngStream(103))
-        assert a.to_json(include_runtime=False) == b.to_json(include_runtime=False)
+        assert a.to_json() == b.to_json()
 
 
 class TestMarginals:
@@ -147,6 +148,16 @@ class TestConvolution:
         report = verify_convolution(UNIT_DISK, 2.0, 50_000, RngStream(114))
         assert report.observed["fubini_estimate"] == pytest.approx(0.3935, abs=0.01)
         assert report.observed["direct_estimate"] == pytest.approx(0.3935, abs=0.01)
+
+    def test_oversized_level_is_refused_before_any_draw(self, monkeypatch):
+        # 64 level-20 vectors, the smallest block, exceed the sampler budget.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the budget")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        monkeypatch.setattr(RngStream, "block", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            verify_convolution(disk_product(20, 0j, 1.5), 1.0, 1000, RngStream(116))
 
 
 class TestConditionalIndependence:
@@ -524,6 +535,31 @@ class TestSharpness:
         assert report.passed
         assert report.observed["inverse_mean"] == pytest.approx(math.sqrt(2.0) / 2.0, abs=0.01)
         assert report.observed["criterion_gap"] == pytest.approx(2.0)
+
+    def test_mis_scaled_normals_fail(self, monkeypatch):
+        # The check reads the lab's own normal source, so a sampler whose
+        # normals are 10% too wide moves both RMS statistics past their limits.
+        def wide(gen, shape, out=None):
+            return 1.1 * standard_complex(gen, shape, out)
+
+        monkeypatch.setattr(experiments_module, "standard_complex", wide)
+        report = sharpness_check(2.0, 1.0, 10_000, 20, RngStream(128))
+        assert not report.passed
+        assert report.observed["inverse_dev"] > 0.01
+
+    def test_draws_are_two_standard_normal_blocks(self):
+        # 11 * 1001 is odd, so y starts at the imaginary part of a complex
+        # value; the halves still equal two standard_normal calls.
+        a, b, samples, dims = 2.0, 1.0, 11, 1001
+        report = sharpness_check(a, b, dims, samples, RngStream(129))
+        gen = RngStream(129).generator()
+        x = gen.standard_normal((samples, dims))
+        y = gen.standard_normal((samples, dims))
+        combined = np.sqrt(np.mean((a * x + b * y) ** 2, axis=1))
+        inverse = np.sqrt(np.mean(((x - b * y) / a) ** 2, axis=1))
+        assert report.observed["combined_mean"] == float(combined.mean())
+        assert report.observed["inverse_mean"] == float(inverse.mean())
+        assert report.observed["inverse_spread"] == float(inverse.std())
 
     def test_validation(self):
         with pytest.raises(ValueError):

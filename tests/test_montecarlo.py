@@ -146,10 +146,15 @@ class TestTallyBlocks:
 
     def test_block_size_shrinks_with_depth(self):
         assert default_block_size(0) >= default_block_size(8)
-        assert default_block_size(30) >= 64
+        assert default_block_size(19) == 64
+        # From depth 20 on, even the 64-sample floor exceeds the sampler
+        # budget, so the size is refused rather than returned.
+        for depth in range(20, 31):
+            with pytest.raises(ValueError, match="budget"):
+                default_block_size(depth)
 
     def test_blocks_hold_at_most_two_megabytes_above_the_floor(self):
-        for depth in range(31):
+        for depth in range(20):
             size = default_block_size(depth)
             values = size * ((2 << depth) - 1)
             # 2**17 complex values are 2 MB; only the 64-sample floor may exceed it.
@@ -618,7 +623,7 @@ def _search_of(make):
         report = whirly_search(
             make(), 0.5, 2000, 3, RngStream(98), z_samples=20, inner_samples=140_000, workers=workers
         )
-        return report.to_json(include_runtime=False)
+        return report.to_json()
 
     return run
 
