@@ -5,7 +5,8 @@ Each criterion packages one guarantee into a callable returning an
 deterministic for a fixed ``(seed, scale)``: statistical criteria compare
 sigma-normalized deviations against fixed limits, so a run either passes or
 fails reproducibly, and ``scale`` shrinks sample counts for smoke runs
-without touching any threshold.
+without touching any threshold.  A statistic adopted from an experiment is
+held to the limit that experiment sets, and a control's to its negation.
 
 Criteria derive their randomness from ``RngStream(seed).child(i)`` where
 ``i`` is the criterion index, so reordering or re-running single criteria
@@ -74,6 +75,27 @@ class Criterion:
 
 def _scaled(base: int, scale: float, floor: int) -> int:
     return max(floor, int(round(base * scale)))
+
+
+_NEGATED = {"max": "gt", "gt": "max", "min": "lt", "lt": "min"}
+
+
+def _adopt(
+    observed: dict, thresholds: dict, report: ExperimentReport, keys: tuple[str, ...],
+    prefix: str = "", *, negate: bool = False,
+) -> None:
+    """Copy the observations ``keys`` of ``report`` into ``observed`` under
+    ``prefix``, with the limits ``report`` sets on them into ``thresholds``.
+    ``negate`` swaps each one-rule limit for its negation (``max`` with
+    ``gt``, ``min`` with ``lt``), for a control that must fail."""
+    for key in keys:
+        observed[prefix + key] = report.observed[key]
+        rules = report.thresholds.get(key)
+        if rules is not None and negate:
+            ((op, bound),) = rules.items()
+            rules = {_NEGATED[op]: bound}
+        if rules is not None:
+            thresholds[prefix + key] = rules
 
 
 # --- 1: exact structural identities -----------------------------------------
@@ -178,26 +200,24 @@ def _run_convolution(seed: int, workers: int, scale: float) -> ExperimentReport:
     samples = _scaled(1_000_000, scale, MIN_SAMPLES)
     target = disk_product(0, 0.0, 1.0)
 
-    max_sigma = 0.0
-    max_anchor_dev = 0.0
     a_values = (0.0, 1.0, -1.0, 2.0, -2.0)
-    for i, a in enumerate(a_values):
-        report = verify_convolution(target, a, samples, stream.child(i), workers=workers)
-        max_sigma = max(max_sigma, report.observed["sigma_difference"])
-        max_anchor_dev = max(
-            max_anchor_dev, abs(report.observed["direct_estimate"] - _DISK_ANCHOR)
-        )
+    reports = [
+        verify_convolution(target, a, samples, stream.child(i), workers=workers)
+        for i, a in enumerate(a_values)
+    ]
+    worst = max(reports, key=lambda r: r.observed["sigma_difference"])
+    max_anchor_dev = max(abs(r.observed["direct_estimate"] - _DISK_ANCHOR) for r in reports)
 
     anchor_tol = max(
         0.0025, SIGMA_LIMIT * math.sqrt(_DISK_ANCHOR * (1.0 - _DISK_ANCHOR) / samples)
     )
     observed = {
-        "max_sigma": float(max_sigma),
+        "max_sigma": worst.observed["sigma_difference"],
         "max_anchor_deviation": float(max_anchor_dev),
         "anchor": _DISK_ANCHOR,
     }
     thresholds = {
-        "max_sigma": {"max": SIGMA_LIMIT},
+        "max_sigma": worst.thresholds["sigma_difference"],
         "max_anchor_deviation": {"max": anchor_tol},
     }
     parameters = {"a_values": list(a_values), "samples": samples}
@@ -228,16 +248,9 @@ def _run_independence(seed: int, workers: int, scale: float) -> ExperimentReport
         element_factory=lambda s, k: make_gsk(s, target.level),
     )
 
-    observed = {
-        "max_marginal_sigma": main.observed["max_marginal_sigma"],
-        "max_cell_sigma": main.observed["max_cell_sigma"],
-        "control_max_cell_sigma": control.observed["max_cell_sigma"],
-    }
-    thresholds = {
-        "max_marginal_sigma": {"max": SIGMA_LIMIT},
-        "max_cell_sigma": {"max": SIGMA_LIMIT},
-        "control_max_cell_sigma": {"gt": SIGMA_LIMIT},
-    }
+    observed, thresholds = {}, {}
+    _adopt(observed, thresholds, main, ("max_marginal_sigma", "max_cell_sigma"))
+    _adopt(observed, thresholds, control, ("max_cell_sigma",), "control_", negate=True)
     parameters = {"s": 1.0, "m": 3, "samples": samples, "given": "zero"}
     return _finish("acceptance-independence", parameters, observed, thresholds, seed, started)
 
@@ -290,20 +303,12 @@ def _run_whirly(seed: int, workers: int, scale: float) -> ExperimentReport:
         element_factory=lambda s, k: identity(k + 1),
     )
 
-    observed = {
-        "found": main.observed["found"],
-        "union_margin": main.observed["union_margin"],
-        "found_n": main.observed["found_n"],
-        "found_m": main.observed["found_m"],
-        # A flag rather than the time itself keeps the report deterministic.
-        "search_within_budget": 1.0 if main.runtime_ms <= _SEARCH_BUDGET_MS else 0.0,
-        "control_union_margin": control.observed["union_margin"],
-    }
-    thresholds = {
-        "union_margin": {"gt": 0.5},
-        "search_within_budget": {"min": 1.0},
-        "control_union_margin": {"max": 0.5},
-    }
+    observed, thresholds = {}, {}
+    _adopt(observed, thresholds, main, ("found", "union_margin", "found_n", "found_m"))
+    # A flag rather than the time itself keeps the report deterministic.
+    observed["search_within_budget"] = 1.0 if main.runtime_ms <= _SEARCH_BUDGET_MS else 0.0
+    thresholds["search_within_budget"] = {"min": 1.0}
+    _adopt(observed, thresholds, control, ("union_margin",), "control_", negate=True)
     parameters = {"epsilon": 0.5, "samples": samples, "max_depth": 12}
     return _finish("acceptance-whirly", parameters, observed, thresholds, seed, started)
 
@@ -334,23 +339,11 @@ def _run_sharpness(seed: int, workers: int, scale: float) -> ExperimentReport:
     wide = sharpness_check(2.0, 1.0, dims, reps, stream.child(0))
     tight = sharpness_check(math.sqrt(2.0), 1.0, dims, reps, stream.child(1))
 
-    observed = {
-        "wide_inverse_mean": wide.observed["inverse_mean"],
-        "wide_inverse_dev": wide.observed["inverse_dev"],
-        "wide_combined_dev": wide.observed["combined_dev"],
-        "wide_criterion_gap": wide.observed["criterion_gap"],
-        "tight_inverse_mean": tight.observed["inverse_mean"],
-        "tight_inverse_dev": tight.observed["inverse_dev"],
-        "tight_combined_dev": tight.observed["combined_dev"],
-        "tight_criterion_gap": tight.observed["criterion_gap"],
-    }
-    thresholds = {
-        "wide_inverse_dev": {"max": 0.01},
-        "wide_combined_dev": {"max": 5.0 / math.sqrt(dims)},
-        "tight_inverse_dev": {"max": 0.01},
-        "tight_combined_dev": {"max": 5.0 / math.sqrt(dims)},
-        "tight_criterion_gap": {"max": 1e-12},
-    }
+    observed, thresholds = {}, {}
+    keys = ("inverse_mean", "inverse_dev", "combined_dev", "criterion_gap")
+    for prefix, report in (("wide_", wide), ("tight_", tight)):
+        _adopt(observed, thresholds, report, keys, prefix)
+    thresholds["tight_criterion_gap"] = {"max": 1e-12}
     parameters = {"dims": dims, "reps": reps, "pairs": [[2.0, 1.0], ["sqrt2", 1.0]]}
     return _finish("acceptance-sharpness", parameters, observed, thresholds, seed, started)
 

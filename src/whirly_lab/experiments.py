@@ -34,7 +34,7 @@ from .montecarlo import (
     estimate_measure,
     event_indicators,
     tally_blocks,
-    wilson_interval,
+    wilson_interval,  # not called here; benchmarks/test_smoke.py checks this binding
 )
 from .rng import RngStream
 from .sets import (
@@ -436,7 +436,8 @@ def verify_conditional_independence(
 
     ``element_factory`` builds the group element for each ``k``; substituting
     a factory that ignores ``k`` produces identical events and must fail the
-    product test.
+    product test.  A level whose blocks, sized for level ``n + 1``, would not
+    fit the sampler budget is refused before any element is built.
     """
     if not 1 <= m <= 6:
         raise ValueError("m must lie in [1, 6]")
@@ -447,6 +448,7 @@ def verify_conditional_independence(
     started = time.perf_counter()
     n = target.level
     scale = math.sqrt(1.0 + s * s)
+    default_block_size(n + 1)
 
     if given is None:
         given = LevelVector(n, standard_complex(rng.child(0).generator(), (1 << n,)))
@@ -596,16 +598,16 @@ def positivity_scan(
     ``sqrt(1+a**2)*K + a*z`` for each.
 
     Reports the fraction of scanned ``z`` whose Wilson interval is strictly
-    clear of zero (threshold 0.99) plus the quantile structure of the
-    translated measures: ``delta_at_f`` is ``np.quantile(measures, 1 - f)``,
-    interpolated linearly between order statistics, so slightly fewer than a
-    fraction ``f`` of the ``z`` may reach it, and it may lie below the
-    largest level that a fraction ``f`` of them reach.  Each ``z`` gets
-    ``inner_samples`` hit-or-miss trials, on the fiber of :func:`_fiber_scan`,
-    which also validates and budgets the scan.  Given ``z`` the trials are
-    i.i.d., so where that fiber is exact the hit count of ``z`` is drawn from
-    ``Binomial(inner_samples, q(z))``, all in one call on the generator of
-    ``rng.child(2)``.
+    clear of zero (threshold 0.99), which are exactly the ``z`` with a hit,
+    plus the quantile structure of the translated measures: ``delta_at_f``
+    is ``np.quantile(measures, 1 - f)``, interpolated linearly between order
+    statistics, so slightly fewer than a fraction ``f`` of the ``z`` may
+    reach it, and it may lie below the largest level that a fraction ``f``
+    of them reach.  Each ``z`` gets ``inner_samples`` hit-or-miss trials, on
+    the fiber of :func:`_fiber_scan`, which also validates and budgets the
+    scan.  Given ``z`` the trials are i.i.d., so where that fiber is exact
+    the hit count of ``z`` is drawn from ``Binomial(inner_samples, q(z))``,
+    all in one call on the generator of ``rng.child(2)``.
     """
     started = time.perf_counter()
     n = target.level
@@ -613,7 +615,7 @@ def positivity_scan(
     if hits is None:
         hits = rng.child(2).generator().binomial(inner_samples, measures)
         measures = hits / inner_samples
-    clear = sum(1 for h in hits if wilson_interval(int(h), inner_samples)[0] > 0.0)
+    clear = int(np.count_nonzero(hits))
 
     fractions = {"50": 0.50, "75": 0.75, "87": math.sqrt(1.0 - 0.25), "95": 0.95}
     observed = {

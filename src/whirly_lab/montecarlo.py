@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .rng import RngStream
 from .sets import ActedSet, BorelSet, LinearReads, linear_reads
@@ -207,7 +207,7 @@ def _sum_in_order(parts) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _normal_quantile(confidence: float) -> float:
     """Two-sided standard normal quantile of a confidence level."""
-    return float(stats.norm.ppf(0.5 * (1.0 + confidence)))
+    return float(ndtri(0.5 * (1.0 + confidence)))
 
 
 def _check_confidence(confidence: float) -> None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import chndtr
 
 from .rng import RngStream, as_generator
 
@@ -136,7 +136,8 @@ class ComplexGaussianConvention:
     * ``E|Z|**2 == 2`` and ``Var(|Z|**2) == 4``;
     * ``|Z - c|**2`` follows a noncentral chi-square with 2 degrees of freedom
       and noncentrality ``|c|**2``, so the open disk of radius ``r`` about
-      ``c`` has mass ``ncx2.cdf(r**2, 2, |c|**2)``, which reduces to
+      ``c`` has mass ``scipy.special.chndtr(r**2, 2, |c|**2)``, the
+      ``ncx2.cdf`` of ``scipy.stats`` bit for bit, which reduces to
       ``1 - exp(-r**2 / 2)`` for a centered disk;
     * the law is invariant under multiplication by any unit-modulus constant.
     """
@@ -156,7 +157,7 @@ class ComplexGaussianConvention:
         offset = abs(center)
         if offset == 0.0:
             return -math.expm1(-0.5 * radius * radius)
-        return float(stats.ncx2.cdf(radius * radius, 2, offset * offset))
+        return float(chndtr(radius * radius, 2, offset * offset))
 
 
 def standard_complex(

@@ -5,8 +5,11 @@ the capture machinery so the verdicts are visible in the run log even when
 everything is green.
 """
 
+import dataclasses
+
 import pytest
 
+import whirly_lab.acceptance as acceptance_module
 from whirly_lab import ACCEPTANCE_SEED, CRITERIA
 
 
@@ -28,52 +31,46 @@ def test_criterion(criterion, capsys):
     assert report.passed, f"acceptance criterion {criterion.key} failed"
 
 
-# The continuity criterion's observed values at scale 0.1 and the pinned seed.
-# Its estimates take the read path, so a change to the read kernels that moves
-# any count moves these; a change that alters the draws on purpose re-records
-# them and says so in CHANGES.md.
-_QUICK_CONTINUITY = {
-    "annulus_mass": 0.030000000000000082,
-    "band_half_width": 0.024735863583629957,
-    "delta": 0.0031933862571152443,
-    "max_pair_distance": 0.0031878500897458773,
-    "max_symdiff_clearance": 0.0026610232555810413,
-    "max_symdiff_estimate": 0.0015,
-}
-
-
-def test_quick_continuity_is_pinned():
-    criterion = next(c for c in CRITERIA if c.key == "continuity")
-    report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
-    assert report.observed == _QUICK_CONTINUITY
-
-
-# The convolution and positivity criteria's observed values at scale 0.1 and
-# the pinned seed.  Convolution's blocks draw into reused buffers and compute
-# the translated sets in place, which must leave every bit of these
-# unchanged; positivity's hit counts are binomial draws on exact measures.
-_QUICK_CONVOLUTION = {
-    "max_sigma": 0.887539802727711,
-    "max_anchor_deviation": 0.000830699999999962,
-    "anchor": 0.3934693,
-}
-
-_QUICK_POSITIVITY = {
-    "base_measure": 0.418,
-    "fraction_positive": 1.0,
-    "min_translated": 0.001,
-    "median_translated": 0.507,
-    "delta_at_50": 0.507,
-    "delta_at_75": 0.20950000000000002,
-    "delta_at_87": 0.019273103968574,
-    "delta_at_95": 0.005750000000000004,
-}
+# A criterion holds each statistic it adopts from an experiment to the limit
+# that experiment's report sets, and a control's to its negation.  Each case
+# moves one limit of the experiment's reports and names where the criterion
+# must carry it.
+_MOVED_LIMITS = [
+    (
+        "independence", "verify_conditional_independence", "max_cell_sigma", {"max": 2.5},
+        {"max_cell_sigma": {"max": 2.5}, "control_max_cell_sigma": {"gt": 2.5}},
+    ),
+    (
+        "independence", "verify_conditional_independence", "max_marginal_sigma", {"max": 2.5},
+        {"max_marginal_sigma": {"max": 2.5}},
+    ),
+    (
+        "whirly", "whirly_search", "union_margin", {"gt": 0.7},
+        {"union_margin": {"gt": 0.7}, "control_union_margin": {"max": 0.7}},
+    ),
+    (
+        "sharpness", "sharpness_check", "inverse_dev", {"max": 0.02},
+        {"wide_inverse_dev": {"max": 0.02}, "tight_inverse_dev": {"max": 0.02}},
+    ),
+    (
+        "sharpness", "sharpness_check", "combined_dev", {"max": 0.1},
+        {"wide_combined_dev": {"max": 0.1}, "tight_combined_dev": {"max": 0.1}},
+    ),
+    ("convolution", "verify_convolution", "sigma_difference", {"max": 2.5}, {"max_sigma": {"max": 2.5}}),
+]
 
 
 @pytest.mark.parametrize(
-    "key, observed", [("convolution", _QUICK_CONVOLUTION), ("positivity", _QUICK_POSITIVITY)]
+    "key, experiment, statistic, limit, carried", _MOVED_LIMITS, ids=[f"{c[0]}-{c[2]}" for c in _MOVED_LIMITS]
 )
-def test_quick_translated_measures_are_pinned(key, observed):
+def test_limits_follow_the_experiment(monkeypatch, key, experiment, statistic, limit, carried):
+    run = getattr(acceptance_module, experiment)
+
+    def moved(*args, **kwargs):
+        report = run(*args, **kwargs)
+        return dataclasses.replace(report, thresholds={**report.thresholds, statistic: limit})
+
+    monkeypatch.setattr(acceptance_module, experiment, moved)
     criterion = next(c for c in CRITERIA if c.key == key)
     report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
-    assert report.observed == observed
+    assert {name: report.thresholds[name] for name in carried} == carried

@@ -181,6 +181,17 @@ class TestConditionalIndependence:
         assert not report.passed
         assert report.observed["max_cell_sigma"] > 10.0
 
+    def test_oversized_level_is_refused_before_any_element(self):
+        # The whirled family's blocks are sized for level 21, and 64 level-21
+        # vectors, the smallest block, exceed the sampler budget.
+        def no_element(s, k):
+            raise AssertionError("built an element before checking the budget")
+
+        with pytest.raises(ValueError, match="budget"):
+            verify_conditional_independence(
+                disk_product(20, 0j, 1.5), 1.0, 6, 1000, RngStream(117), element_factory=no_element
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_conditional_independence(UNIT_DISK, -1.0, 2, 1000, RngStream(117))

@@ -271,6 +271,20 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(5, 10, confidence=1.0)
 
+    @pytest.mark.parametrize("samples", [20, 100, 1000, 10_000, 100_000])
+    def test_lower_endpoint_clears_zero_exactly_with_a_hit(self, samples):
+        # positivity_scan counts the nonzero hit counts as the z clear of zero.
+        hits = range(samples + 1)
+        assert [wilson_interval(h, samples)[0] > 0.0 for h in hits] == [h > 0 for h in hits]
+
+    def test_normal_quantile_is_the_normal_ppf_bit_for_bit(self):
+        from scipy import stats
+
+        confidences = np.linspace(0.001, 0.999, 999)
+        expected = stats.norm.ppf(0.5 * (1.0 + confidences))
+        got = [montecarlo_module._normal_quantile(float(c)) for c in confidences]
+        np.testing.assert_array_equal(got, expected)
+
     @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=2000))
     @settings(deadline=None, derandomize=True, max_examples=60)
     def test_bracket_contains_point_estimate(self, hits, samples):

@@ -1,6 +1,10 @@
 """Tree construction, projections, innovations, and their exact identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +420,21 @@ class TestDiskMass:
         assert disk_mass(math.inf) == 1.0
         with pytest.raises(ValueError):
             disk_mass(math.nan)
+
+    def test_off_center_is_the_noncentral_chi_square_cdf_bit_for_bit(self):
+        from scipy import stats
+
+        radii = np.repeat(np.linspace(0.05, 6.0, 40), 40)
+        centers = [complex(c) for c in np.tile(np.linspace(0.05, 6.0, 40), 40) * np.exp(1j * radii)]
+        offsets = np.array([abs(c) for c in centers])
+        expected = stats.ncx2.cdf(radii * radii, 2, offsets * offsets)
+        got = [disk_mass(float(r), c) for r, c in zip(radii, centers)]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        # The closed forms come from scipy.special; scipy.stats is slow to import.
+        src = Path(tree_module.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        check = "import sys, whirly_lab.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
