@@ -217,7 +217,7 @@ def verify_action_identity(
         raise ValueError("need 0 <= n <= k")
     if trials < 1:
         raise ValueError("trials must be positive")
-    # Each trial draws a depth-(k + 1) tree, and g holds 2**(k + 1) phases.
+    # Each trial draws a depth-(k + 1) tree, and acting on it reads 2**(k + 1) phases of g.
     check_sampler_budget(k + 1, 1)
     started = time.perf_counter()
     gen = rng.generator()
@@ -528,22 +528,28 @@ def _scanned_hits(
     ``default_block_size(L)``, ``L`` the set's level, and a block counts for
     every ``z`` the ``w`` with ``(w - a*z)/sqrt(1+a**2)`` in ``K``.  Given
     ``z`` a count is ``Binomial(inner_samples, q(z))``; the counts of
-    different ``z`` share their draws, so they are dependent.
+    different ``z`` share their draws, so they are dependent.  A block of
+    ``count`` draws scores its ``z`` in chunks of ``block_size // count``
+    (at least one), so one chunk's translates hold no more values than one
+    default block, and each chunk is one set evaluation.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
     shifts = a * standard_complex(rng.child(1).generator(), (z_samples, width))
+    block_size = default_block_size(target.level)
 
     def scan_block(gen: np.random.Generator, count: int) -> np.ndarray:
         w = standard_complex(gen, (count, width), out=block_buffer("scan", (count, width)))
-        moved = block_buffer("scan_moved", (count, width))
+        chunk = max(1, block_size // count)
         hits = np.empty(z_samples, dtype=np.int64)
-        for j, shift in enumerate(shifts):
-            np.subtract(w, shift, out=moved)
-            hits[j] = np.count_nonzero(target.indicator_at(_div_real(moved, scale)))
+        for start in range(0, z_samples, chunk):
+            part = shifts[start : start + chunk, None, :]
+            moved = block_buffer("scan_moved", (len(part) * count, width))
+            np.subtract(w, part, out=moved.reshape(len(part), count, width))
+            inside = target.indicator_at(_div_real(moved, scale)).reshape(len(part), count)
+            hits[start : start + len(part)] = np.count_nonzero(inside, axis=1)
         return hits
 
-    block_size = default_block_size(target.level)
     return tally_blocks(scan_block, inner_samples, rng.child(2), block_size=block_size, workers=workers)
 
 
@@ -674,7 +680,10 @@ def whirly_search(
     :func:`~whirly_lab.montecarlo.event_indicators`).  The search passes,
     with ``found_n = n``, as soon as one union clears ``1 - epsilon`` by
     three standard errors; reaching the cap is a failure (``found_n = -1``),
-    not an exception.  The elements hold about as many phases as one tree to
+    not an exception.  Whirling and identity elements are compact, two
+    phases and one whatever their level, so the search itself stays small at
+    any depth.  An ``element_factory`` may still build dense elements, which
+    for ``k < max_depth`` hold about as many phases as one tree to
     ``max_depth``, so :func:`~whirly_lab.tree.check_sampler_budget` refuses
     ``max_depth >= 26`` with a ``ValueError`` before anything is drawn or
     built.
@@ -685,8 +694,9 @@ def whirly_search(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if max_depth < target.level + 1:
         raise ValueError("max_depth leaves no room for any whirling element")
-    # The elements for k < max_depth hold 2**(k + 1) phases each, as many in
-    # all as one tree to max_depth; refuse before building any of them.
+    # make_gsk and identity elements hold two phases and one, but a factory
+    # may build dense elements, 2**(k + 1) phases for each k < max_depth and
+    # as many in all as one tree to max_depth; refuse before building any.
     check_sampler_budget(max_depth, 1)
     started = time.perf_counter()
     n0 = target.level

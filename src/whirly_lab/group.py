@@ -20,8 +20,17 @@ path depends only on that path's last bit,
     phase = (1 - i*s) / sqrt(1 + s**2)   if the bit is 1.
 
 Its distance from the identity is sqrt(2 - 2/sqrt(1 + s**2)) no matter which
-level materializes it, small for small s even though the phase pattern
-alternates at arbitrarily fine scales.
+level it lives at, small for small s even though the phase pattern alternates
+at arbitrarily fine scales.
+
+An element is stored as a pattern of ``2**p`` phases, ``p <= level``, that
+tiles the level: the phase of path ``i`` is ``pattern[i % 2**p]``.  A
+whirling element holds its two phases and the identity its one, whatever the
+level; ``GroupElement(level, phases)`` holds all ``2**level``.  ``embed``,
+``compose``, ``conjugate`` and ``uniform_distance`` work on the patterns,
+brought to a common period where two meet, and ``phases`` builds the dense
+array the first time it is read and keeps it.  The dense bits do not depend
+on the form: a pattern entry is computed once and copied.
 """
 
 from __future__ import annotations
@@ -38,10 +47,22 @@ from .tree import DepthMismatchError, LevelMismatchError, TreeSample
 PHASE_TOL = 1e-12
 
 
-class GroupElement:
-    """Unit-modulus phase per length-n path, in path order.  Immutable."""
+def _freeze_unit(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, once every entry is checked to have unit modulus."""
+    if np.abs(np.abs(arr) - 1.0).max() > PHASE_TOL:
+        raise ValueError("phases must have unit modulus")
+    arr.setflags(write=False)
+    return arr
 
-    __slots__ = ("_level", "_phases")
+
+class GroupElement:
+    """Unit-modulus phase per length-n path, in path order.  Immutable.
+
+    Held as a ``pattern`` of ``2**p`` phases, ``p <= level``, tiled over the
+    level; :attr:`phases` is the dense array, built on first read.
+    """
+
+    __slots__ = ("_level", "_pattern", "_phases")
 
     def __init__(self, level: int, phases: Iterable[complex]) -> None:
         if level < 0:
@@ -49,47 +70,76 @@ class GroupElement:
         arr = np.array(phases, dtype=np.complex128).reshape(-1)
         if arr.size != 1 << level:
             raise ValueError(f"level {level} requires {1 << level} phases, got {arr.size}")
-        if np.any(np.abs(np.abs(arr) - 1.0) > PHASE_TOL):
-            raise ValueError("phases must have unit modulus")
-        arr.setflags(write=False)
         self._level = int(level)
-        self._phases = arr
+        self._pattern = self._phases = _freeze_unit(arr)
+
+    @classmethod
+    def tiled(cls, level: int, pattern: Iterable[complex]) -> "GroupElement":
+        """The level-``level`` element whose phases repeat ``pattern`` over
+        the paths; ``pattern`` holds ``2**p`` phases, ``p <= level``."""
+        if level < 0:
+            raise ValueError("level must be non-negative")
+        arr = np.array(pattern, dtype=np.complex128).reshape(-1)
+        if arr.size == 0 or arr.size & (arr.size - 1) or arr.size > 1 << level:
+            raise ValueError(f"a level-{level} pattern holds 2**p <= {1 << level} phases, got {arr.size}")
+        g = cls.__new__(cls)
+        g._level = int(level)
+        g._pattern = _freeze_unit(arr)
+        g._phases = arr if arr.size == 1 << level else None
+        return g
 
     @property
     def level(self) -> int:
         return self._level
 
     @property
+    def pattern(self) -> np.ndarray:
+        """The ``2**p`` phases that tile the level, read-only."""
+        return self._pattern
+
+    @property
     def phases(self) -> np.ndarray:
+        """All ``2**level`` phases, read-only; built on first read and kept."""
+        if self._phases is None:
+            dense = np.tile(self._pattern, (1 << self._level) // self._pattern.size)
+            dense.setflags(write=False)
+            self._phases = dense
         return self._phases
 
     def __repr__(self) -> str:
         return f"GroupElement(level={self._level})"
 
 
+def _common_patterns(g: GroupElement, h: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """The patterns of ``g`` and ``h``, both tiled to the longer period."""
+    size = max(g.pattern.size, h.pattern.size)
+    return (np.tile(g.pattern, size // g.pattern.size), np.tile(h.pattern, size // h.pattern.size))
+
+
 def identity(level: int) -> GroupElement:
-    """The identity element materialized at the given level."""
-    return GroupElement(level, np.ones(1 << level, dtype=np.complex128))
+    """The identity element at the given level: one phase, 1."""
+    return GroupElement.tiled(level, np.ones(1, dtype=np.complex128))
 
 
 def make_gsk(s: float, k: int) -> GroupElement:
     """Whirling element of strength ``s`` read off bit ``k``, at level k+1."""
     if k < 0:
         raise ValueError("bit position k must be non-negative")
-    signs = 1 - 2 * (np.arange(1 << (k + 1)) & 1)
-    return GroupElement(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
+    signs = 1 - 2 * (np.arange(2) & 1)
+    return GroupElement.tiled(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Pointwise product.  Levels must already match; embed first if not."""
     if g.level != h.level:
         raise LevelMismatchError(f"cannot compose levels {g.level} and {h.level}")
-    return GroupElement(g.level, g.phases * h.phases)
+    a, b = _common_patterns(g, h)
+    return GroupElement.tiled(g.level, a * b)
 
 
 def conjugate(g: GroupElement) -> GroupElement:
     """Pointwise complex conjugate; the group inverse."""
-    return GroupElement(g.level, np.conj(g.phases))
+    return GroupElement.tiled(g.level, np.conj(g.pattern))
 
 
 def embed(g: GroupElement, level: int) -> GroupElement:
@@ -98,13 +148,14 @@ def embed(g: GroupElement, level: int) -> GroupElement:
         raise LevelMismatchError(f"cannot embed level {g.level} into coarser level {level}")
     if level == g.level:
         return g
-    return GroupElement(level, np.repeat(g.phases, 1 << (level - g.level)))
+    return GroupElement.tiled(level, np.repeat(g.pattern, 1 << (level - g.level)))
 
 
 def uniform_distance(g: GroupElement, h: GroupElement) -> float:
     """Max pointwise distance after embedding both at the finer level."""
     level = max(g.level, h.level)
-    return float(np.max(np.abs(embed(g, level).phases - embed(h, level).phases)))
+    a, b = _common_patterns(embed(g, level), embed(h, level))
+    return float(np.max(np.abs(a - b)))
 
 
 def act(g: GroupElement, tree: TreeSample) -> TreeSample:

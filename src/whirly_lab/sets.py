@@ -274,7 +274,7 @@ class ComplementSet(BorelSet):
 class ActedSet(BorelSet):
     """Image of a set under a group element."""
 
-    __slots__ = ("element", "base", "_conj_phases")
+    __slots__ = ("element", "base", "_conj")
 
     kind = "acted-image"
 
@@ -282,7 +282,15 @@ class ActedSet(BorelSet):
         super().__init__(max(element.level, base.level))
         self.element = element
         self.base = base
-        self._conj_phases = np.conj(embed(element, self._level).phases)
+        self._conj: np.ndarray | None = None
+
+    @property
+    def _conj_phases(self) -> np.ndarray:
+        """Conjugate phases of the element at this set's level, one per entry
+        of a data row; built on first use and kept."""
+        if self._conj is None:
+            self._conj = np.conj(embed(self.element, self._level).phases)
+        return self._conj
 
     def _member(self, x: np.ndarray) -> np.ndarray:
         return self._eval_child(self.base, x * self._conj_phases)
@@ -298,13 +306,17 @@ class ActedSet(BorelSet):
         when the level-``(level + 1)`` vector with children
         ``(x + U)/sqrt(2)`` and ``(x - U)/sqrt(2)`` lies in the returned
         copy, which acts with the same two phases at level ``level + 1``.
+        The test reads the element's pattern: one of one or two phases (an
+        identity or whirling element) passes as it is, and a longer one when
+        its even and its odd entries are each constant.
         """
         if self.element.level <= level or self.base.level > level:
             return None
-        phases = self.element.phases
-        if np.any(phases[0::2] != phases[0]) or np.any(phases[1::2] != phases[1]):
+        pattern = self.element.pattern
+        if pattern.size > 2 and ((pattern[0::2] != pattern[0]).any() or (pattern[1::2] != pattern[1]).any()):
             return None
-        return acted_set(GroupElement(level + 1, np.tile(phases[:2], 1 << level)), self.base)
+        # The first phase and the last: the two phases, or the one twice.
+        return acted_set(GroupElement.tiled(level + 1, pattern[[0, -1]]), self.base)
 
     def to_json(self) -> dict:
         return {

@@ -297,8 +297,8 @@ class TreeSample:
 # returned level, not only the drawn ones: 2**26 values are 1 GiB.  A default
 # montecarlo block holds under 2**17 down to depth 10, and its 64-row floor
 # stays within the budget down to depth 19.  The same budget bounds the phases
-# of the whirling elements a search builds and the normals of a sharpness
-# check.  Only check_sampler_budget reads it.
+# of the dense elements a search's element factory may build and the normals
+# of a sharpness check.  Only check_sampler_budget reads it.
 MAX_SAMPLER_VALUES = 1 << 26
 
 

@@ -51,6 +51,94 @@ class TestConstruction:
             GroupElement(2, np.ones(2, dtype=complex))
 
 
+def _dense(g: GroupElement) -> GroupElement:
+    """``g`` rebuilt from all of its phases."""
+    return GroupElement(g.level, g.phases)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestCompactForm:
+    """Whirling and identity elements hold a short pattern of phases; every
+    dense read and every operation gives the bits of the dense element."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0])
+    def test_make_gsk_holds_two_phases_with_the_dense_bits(self, s):
+        for k in range(9):
+            g = make_gsk(s, k)
+            assert g.level == k + 1
+            assert g.pattern.size == 2
+            signs = 1 - 2 * (np.arange(1 << (k + 1)) & 1)
+            _same_bits(g.phases, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
+
+    def test_identity_holds_one_phase(self):
+        for level in (0, 1, 5):
+            g = identity(level)
+            assert g.pattern.size == 1
+            _same_bits(g.phases, np.ones(1 << level, dtype=np.complex128))
+
+    def test_phases_are_built_once_and_read_only(self):
+        g = make_gsk(0.5, 6)
+        assert g.phases is g.phases
+        assert not g.phases.flags.writeable
+        assert not g.pattern.flags.writeable
+
+    def test_a_dense_element_is_its_own_pattern(self):
+        g = random_element(3, RngStream(42).generator())
+        assert g.pattern is g.phases
+
+    def test_tiled_validates_its_pattern(self):
+        with pytest.raises(ValueError):
+            GroupElement.tiled(2, np.ones(3, dtype=complex))
+        with pytest.raises(ValueError):
+            GroupElement.tiled(1, np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            GroupElement.tiled(1, np.ones(0, dtype=complex))
+        with pytest.raises(ValueError):
+            GroupElement.tiled(3, np.array([1.0 + 0j, 0.5 + 0j]))
+        with pytest.raises(ValueError):
+            GroupElement.tiled(-1, np.ones(1, dtype=complex))
+
+    def test_tiled_repeats_the_pattern(self):
+        g = GroupElement.tiled(3, np.array([1j, -1j, 1.0, -1.0]))
+        _same_bits(g.phases, np.tile(np.array([1j, -1j, 1.0, -1.0]), 2))
+
+    def _operands(self):
+        gen = RngStream(43).generator()
+        compact = [make_gsk(0.3, 2), make_gsk(2.0, 0), identity(3), identity(1)]
+        compact.append(GroupElement.tiled(3, random_element(2, gen).phases))
+        return compact + [random_element(3, gen), random_element(1, gen)]
+
+    def test_embed_matches_the_dense_element(self):
+        for g in self._operands():
+            for level in range(g.level, 6):
+                _same_bits(embed(g, level).phases, embed(_dense(g), level).phases)
+
+    def test_compose_and_conjugate_match_the_dense_elements(self):
+        ops = self._operands()
+        for g in ops:
+            _same_bits(conjugate(g).phases, conjugate(_dense(g)).phases)
+            for h in ops:
+                if g.level != h.level:
+                    continue
+                dense = compose(_dense(g), _dense(h)).phases
+                _same_bits(compose(g, h).phases, dense)
+                _same_bits(compose(_dense(g), h).phases, dense)
+                _same_bits(compose(g, _dense(h)).phases, dense)
+
+    def test_uniform_distance_matches_the_dense_elements(self):
+        ops = self._operands()
+        for g in ops:
+            for h in ops:
+                dense = uniform_distance(_dense(g), _dense(h))
+                assert uniform_distance(g, h) == dense
+                assert uniform_distance(_dense(g), h) == dense
+                assert uniform_distance(g, _dense(h)) == dense
+
+
 class TestGroupLaws:
     def test_inverse_cancels(self):
         g = random_element(3, RngStream(31).generator())

@@ -10,6 +10,7 @@ from scipy import stats
 
 from whirly_lab import (
     DepthMismatchError,
+    GroupElement,
     LevelMismatchError,
     LevelVector,
     RngStream,
@@ -21,6 +22,7 @@ from whirly_lab import (
     disk_mass,
     disk_product,
     halfspace,
+    identity,
     linear_reads,
     make_gsk,
     project,
@@ -271,6 +273,35 @@ class TestActedSet:
         assert not w.indicator_at(outside)[0]
 
 
+    def test_innovation_copy_of_compact_elements(self):
+        # A whirl and an identity read their pattern; the copy holds the same
+        # two phases at level + 1, as the dense check built it.
+        d = disk_product(1, 0.3j, 1.2)
+        for g in (make_gsk(0.7, 4), identity(5)):
+            dense = GroupElement(g.level, g.phases)
+            copy = acted_set(g, d).innovation_copy(1)
+            assert copy.level == 2
+            assert copy.element.pattern.size == 2
+            np.testing.assert_array_equal(copy.element.phases, np.tile(dense.phases[:2], 2))
+            assert copy.to_json() == acted_set(dense, d).innovation_copy(1).to_json()
+
+    def test_innovation_copy_of_dense_elements(self):
+        # A dense element keeps the check on all of its phases: an alternating
+        # one gives the two-phase copy, any other gives None.
+        d = disk_product(1, 0j, 1.0)
+        w = np.exp(0.4j)
+        alternating = GroupElement(3, np.tile([w, np.conj(w)], 4))
+        copy = acted_set(alternating, d).innovation_copy(1)
+        expected = acted_set(GroupElement(2, np.tile(alternating.phases[:2], 2)), d)
+        assert copy.to_json() == expected.to_json()
+        x = _draws(70, 500, 2)
+        np.testing.assert_array_equal(copy.indicator_at(x), expected.indicator_at(x))
+        mixed = GroupElement(3, np.tile([w, np.conj(w), 1.0, 1.0], 2))
+        assert acted_set(mixed, d).innovation_copy(1) is None
+        assert acted_set(make_gsk(0.5, 0), d).innovation_copy(1) is None
+        assert acted_set(make_gsk(0.5, 3), disk_product(2, 0j, 1.0)).innovation_copy(1) is None
+
+
 class TestIndicatorPlumbing:
     def test_deeper_input_is_projected_first(self):
         d = disk_product(0, 0j, 1.0)
@@ -326,6 +357,20 @@ class TestJson:
     def test_acted_roundtrip(self):
         g = make_gsk(0.8, 1)
         self._roundtrip_and_compare(acted_set(g, disk_product(0, 0j, 1.0)), 2, 69)
+
+    def test_compact_elements_write_the_dense_json(self):
+        # Set JSON holds every phase; a compact element writes the JSON of the
+        # dense element with its phases, and reads back as that element.
+        base = disk_product(1, [0.2j, 0.5 + 0j], 1.3)
+        for g in (make_gsk(0.5, 3), identity(4), make_gsk(2.0, 0)):
+            compact = acted_set(g, base)
+            dense = acted_set(GroupElement(g.level, g.phases), base)
+            assert compact.to_json() == dense.to_json()
+            clone = set_from_json(compact.to_json())
+            assert clone.to_json() == compact.to_json()
+            x = _draws(71, 800, compact.level)
+            np.testing.assert_array_equal(clone.indicator_at(x), compact.indicator_at(x))
+            np.testing.assert_array_equal(dense.indicator_at(x), compact.indicator_at(x))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
