@@ -528,28 +528,22 @@ def _scanned_hits(
     ``default_block_size(L)``, ``L`` the set's level, and a block counts for
     every ``z`` the ``w`` with ``(w - a*z)/sqrt(1+a**2)`` in ``K``.  Given
     ``z`` a count is ``Binomial(inner_samples, q(z))``; the counts of
-    different ``z`` share their draws, so they are dependent.  A block of
-    ``count`` draws scores its ``z`` in chunks of ``block_size // count``
-    (at least one), so one chunk's translates hold no more values than one
-    default block, and each chunk is one set evaluation.
+    different ``z`` share their draws, so they are dependent.
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
     shifts = a * standard_complex(rng.child(1).generator(), (z_samples, width))
-    block_size = default_block_size(target.level)
 
     def scan_block(gen: np.random.Generator, count: int) -> np.ndarray:
         w = standard_complex(gen, (count, width), out=block_buffer("scan", (count, width)))
-        chunk = max(1, block_size // count)
+        moved = block_buffer("scan_moved", (count, width))
         hits = np.empty(z_samples, dtype=np.int64)
-        for start in range(0, z_samples, chunk):
-            part = shifts[start : start + chunk, None, :]
-            moved = block_buffer("scan_moved", (len(part) * count, width))
-            np.subtract(w, part, out=moved.reshape(len(part), count, width))
-            inside = target.indicator_at(_div_real(moved, scale)).reshape(len(part), count)
-            hits[start : start + len(part)] = np.count_nonzero(inside, axis=1)
+        for j, shift in enumerate(shifts):
+            np.subtract(w, shift, out=moved)
+            hits[j] = np.count_nonzero(target.indicator_at(_div_real(moved, scale)))
         return hits
 
+    block_size = default_block_size(target.level)
     return tally_blocks(scan_block, inner_samples, rng.child(2), block_size=block_size, workers=workers)
 
 

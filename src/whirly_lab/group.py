@@ -125,7 +125,7 @@ def make_gsk(s: float, k: int) -> GroupElement:
     """Whirling element of strength ``s`` read off bit ``k``, at level k+1."""
     if k < 0:
         raise ValueError("bit position k must be non-negative")
-    signs = 1 - 2 * (np.arange(2) & 1)
+    signs = np.array([1, -1])
     return GroupElement.tiled(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
 
 

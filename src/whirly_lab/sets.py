@@ -315,8 +315,7 @@ class ActedSet(BorelSet):
         pattern = self.element.pattern
         if pattern.size > 2 and ((pattern[0::2] != pattern[0]).any() or (pattern[1::2] != pattern[1]).any()):
             return None
-        # The first phase and the last: the two phases, or the one twice.
-        return acted_set(GroupElement.tiled(level + 1, pattern[[0, -1]]), self.base)
+        return acted_set(GroupElement.tiled(level + 1, pattern[:2]), self.base)
 
     def to_json(self) -> dict:
         return {

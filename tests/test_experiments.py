@@ -386,32 +386,6 @@ class TestTranslatedScan:
                     recount[j] += np.count_nonzero(target.indicator_at(tree_module._div_real(w - a * z, scale)))
             np.testing.assert_array_equal(hits, recount)
 
-    @pytest.mark.parametrize(
-        "target",
-        [
-            boolean_combine("union", [disk_product(0, 0.5 + 0j, 1.0), disk_product(0, -0.5 + 0j, 1.0)]),
-            affine_image(disk_product(1, [0.7 + 0.2j, -0.5 - 0.6j], 1.8), 1.5, 0.2),
-        ],
-    )
-    def test_chunked_counts_equal_the_per_z_counts(self, target):
-        # 70,000 inner samples make full blocks, scored one z at a time, and a
-        # short last block, scored in chunks of block_size // count z with a
-        # shorter last chunk; 1,000 inner samples make one short block.
-        a = -2.0
-        scale = math.sqrt(1.0 + a * a)
-        width = 1 << target.level
-        block_size = default_block_size(target.level)
-        for z_samples, inner in ((37, 70_000), (300, 1_000)):
-            rng = RngStream(147)
-            hits = experiments_module._scanned_hits(target, a, z_samples, inner, rng)
-            zs = standard_complex(rng.child(1).generator(), (z_samples, width))
-            recount = np.zeros(z_samples, dtype=np.int64)
-            for i, count in montecarlo_module.block_plan(inner, block_size):
-                w = standard_complex(rng.child(2).block(i), (count, width))
-                for j, z in enumerate(zs):
-                    recount[j] += np.count_nonzero(target.indicator_at(tree_module._div_real(w - a * z, scale)))
-            np.testing.assert_array_equal(hits, recount)
-
     def test_scan_blocks_are_budgeted_before_any_draw(self, monkeypatch):
         # 64 level-20 vectors, the smallest block, exceed the sampler budget.
         # The acted disk's base estimate draws one read per sample, so only

@@ -274,14 +274,14 @@ class TestActedSet:
 
 
     def test_innovation_copy_of_compact_elements(self):
-        # A whirl and an identity read their pattern; the copy holds the same
-        # two phases at level + 1, as the dense check built it.
+        # A whirl and an identity read their pattern; the copy holds that
+        # pattern at level + 1, with the phases the dense check built.
         d = disk_product(1, 0.3j, 1.2)
         for g in (make_gsk(0.7, 4), identity(5)):
             dense = GroupElement(g.level, g.phases)
             copy = acted_set(g, d).innovation_copy(1)
             assert copy.level == 2
-            assert copy.element.pattern.size == 2
+            np.testing.assert_array_equal(copy.element.pattern, g.pattern)
             np.testing.assert_array_equal(copy.element.phases, np.tile(dense.phases[:2], 2))
             assert copy.to_json() == acted_set(dense, d).innovation_copy(1).to_json()
 
