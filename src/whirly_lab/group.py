@@ -23,14 +23,16 @@ Its distance from the identity is sqrt(2 - 2/sqrt(1 + s**2)) no matter which
 level it lives at, small for small s even though the phase pattern alternates
 at arbitrarily fine scales.
 
-An element is stored as a pattern of ``2**p`` phases, ``p <= level``, that
-tiles the level: the phase of path ``i`` is ``pattern[i % 2**p]``.  A
-whirling element holds its two phases and the identity its one, whatever the
-level; ``GroupElement(level, phases)`` holds all ``2**level``.  ``embed``,
-``compose``, ``conjugate`` and ``uniform_distance`` work on the patterns,
-brought to a common period where two meet, and ``phases`` builds the dense
-array the first time it is read and keeps it.  The dense bits do not depend
-on the form: a pattern entry is computed once and copied.
+An element is a pattern of ``2**p`` phases, ``p <= level``, that tiles the
+level: the phase of path ``i`` is ``pattern[i % 2**p]``.  ``GroupElement``
+takes such a pattern, and a dense array of ``2**level`` phases is the case
+``p = level``.  A whirling element holds its two phases and the identity its
+one, whatever the level.  ``embed``, ``compose``, ``conjugate`` and
+``uniform_distance`` work on the patterns, brought to a common period where
+two meet; ``phases`` tiles the pattern out to the level on each read and keeps
+nothing, so a caller that reads it often keeps its own copy.  The dense bits
+do not depend on the pattern's period: a pattern entry is computed once and
+copied.
 """
 
 from __future__ import annotations
@@ -47,46 +49,26 @@ from .tree import DepthMismatchError, LevelMismatchError, TreeSample
 PHASE_TOL = 1e-12
 
 
-def _freeze_unit(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, once every entry is checked to have unit modulus."""
-    if np.abs(np.abs(arr) - 1.0).max() > PHASE_TOL:
-        raise ValueError("phases must have unit modulus")
-    arr.setflags(write=False)
-    return arr
-
-
 class GroupElement:
     """Unit-modulus phase per length-n path, in path order.  Immutable.
 
-    Held as a ``pattern`` of ``2**p`` phases, ``p <= level``, tiled over the
-    level; :attr:`phases` is the dense array, built on first read.
+    Built from a ``pattern`` of ``2**p`` phases, ``p <= level``, tiled over
+    the level; :attr:`phases` is the dense array.
     """
 
-    __slots__ = ("_level", "_pattern", "_phases")
+    __slots__ = ("_level", "_pattern")
 
     def __init__(self, level: int, phases: Iterable[complex]) -> None:
         if level < 0:
             raise ValueError("level must be non-negative")
         arr = np.array(phases, dtype=np.complex128).reshape(-1)
-        if arr.size != 1 << level:
-            raise ValueError(f"level {level} requires {1 << level} phases, got {arr.size}")
-        self._level = int(level)
-        self._pattern = self._phases = _freeze_unit(arr)
-
-    @classmethod
-    def tiled(cls, level: int, pattern: Iterable[complex]) -> "GroupElement":
-        """The level-``level`` element whose phases repeat ``pattern`` over
-        the paths; ``pattern`` holds ``2**p`` phases, ``p <= level``."""
-        if level < 0:
-            raise ValueError("level must be non-negative")
-        arr = np.array(pattern, dtype=np.complex128).reshape(-1)
         if arr.size == 0 or arr.size & (arr.size - 1) or arr.size > 1 << level:
-            raise ValueError(f"a level-{level} pattern holds 2**p <= {1 << level} phases, got {arr.size}")
-        g = cls.__new__(cls)
-        g._level = int(level)
-        g._pattern = _freeze_unit(arr)
-        g._phases = arr if arr.size == 1 << level else None
-        return g
+            raise ValueError(f"a level-{level} element holds 2**p <= {1 << level} phases, got {arr.size}")
+        if np.abs(np.abs(arr) - 1.0).max() > PHASE_TOL:
+            raise ValueError("phases must have unit modulus")
+        arr.setflags(write=False)
+        self._level = int(level)
+        self._pattern = arr
 
     @property
     def level(self) -> int:
@@ -99,12 +81,14 @@ class GroupElement:
 
     @property
     def phases(self) -> np.ndarray:
-        """All ``2**level`` phases, read-only; built on first read and kept."""
-        if self._phases is None:
-            dense = np.tile(self._pattern, (1 << self._level) // self._pattern.size)
-            dense.setflags(write=False)
-            self._phases = dense
-        return self._phases
+        """All ``2**level`` phases, read-only: the pattern itself when it is
+        dense, else a fresh tile of it."""
+        reps = (1 << self._level) // self._pattern.size
+        if reps == 1:
+            return self._pattern
+        dense = np.tile(self._pattern, reps)
+        dense.setflags(write=False)
+        return dense
 
     def __repr__(self) -> str:
         return f"GroupElement(level={self._level})"
@@ -118,7 +102,7 @@ def _common_patterns(g: GroupElement, h: GroupElement) -> tuple[np.ndarray, np.n
 
 def identity(level: int) -> GroupElement:
     """The identity element at the given level: one phase, 1."""
-    return GroupElement.tiled(level, np.ones(1, dtype=np.complex128))
+    return GroupElement(level, np.ones(1, dtype=np.complex128))
 
 
 def make_gsk(s: float, k: int) -> GroupElement:
@@ -126,7 +110,7 @@ def make_gsk(s: float, k: int) -> GroupElement:
     if k < 0:
         raise ValueError("bit position k must be non-negative")
     signs = np.array([1, -1])
-    return GroupElement.tiled(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
+    return GroupElement(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -134,12 +118,12 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     if g.level != h.level:
         raise LevelMismatchError(f"cannot compose levels {g.level} and {h.level}")
     a, b = _common_patterns(g, h)
-    return GroupElement.tiled(g.level, a * b)
+    return GroupElement(g.level, a * b)
 
 
 def conjugate(g: GroupElement) -> GroupElement:
     """Pointwise complex conjugate; the group inverse."""
-    return GroupElement.tiled(g.level, np.conj(g.pattern))
+    return GroupElement(g.level, np.conj(g.pattern))
 
 
 def embed(g: GroupElement, level: int) -> GroupElement:
@@ -148,7 +132,7 @@ def embed(g: GroupElement, level: int) -> GroupElement:
         raise LevelMismatchError(f"cannot embed level {g.level} into coarser level {level}")
     if level == g.level:
         return g
-    return GroupElement.tiled(level, np.repeat(g.pattern, 1 << (level - g.level)))
+    return GroupElement(level, np.repeat(g.pattern, 1 << (level - g.level)))
 
 
 def uniform_distance(g: GroupElement, h: GroupElement) -> float:

@@ -450,7 +450,9 @@ def event_indicators(
 
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
     max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
-    reads = linear_reads(events, max_reads) if given is None else None
+    # From level 21 on no read fits, and the walk would first allocate
+    # several level-``level`` arrays only to give up at the first leaf.
+    reads = linear_reads(events, max_reads) if given is None and max_reads > 0 else None
     factor = None if reads is None else ReadFactor.of(reads, 1 << level)
     if factor is not None:
         rows = reads.rows.size

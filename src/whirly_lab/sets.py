@@ -315,14 +315,14 @@ class ActedSet(BorelSet):
         pattern = self.element.pattern
         if pattern.size > 2 and ((pattern[0::2] != pattern[0]).any() or (pattern[1::2] != pattern[1]).any()):
             return None
-        return acted_set(GroupElement.tiled(level + 1, pattern[:2]), self.base)
+        return acted_set(GroupElement(level + 1, pattern[:2]), self.base)
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "element": {
                 "level": self.element.level,
-                "phases": _complex_pairs(self.element.phases),
+                "phases": _complex_pairs(self.element.pattern),
             },
             "base": self.base.to_json(),
         }

@@ -203,10 +203,6 @@ class LevelVector:
         self._level = int(level)
         self._entries = arr
 
-    @classmethod
-    def zeros(cls, level: int) -> "LevelVector":
-        return cls(level, np.zeros(1 << level, dtype=np.complex128))
-
     @property
     def level(self) -> int:
         return self._level

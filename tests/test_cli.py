@@ -1,16 +1,19 @@
 """Command-line behavior: parsing, determinism, formats, and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import whirly_lab.experiments as experiments_module
 import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
 from whirly_lab.cli import main, parse_set_spec
+from whirly_lab.group import GroupElement, make_gsk
 from whirly_lab.rng import RngStream
-from whirly_lab.sets import DiskProduct
+from whirly_lab.sets import DiskProduct, acted_set, disk_product
 
 
 # A union is not a disk product, so its translates are scanned.
@@ -156,6 +159,29 @@ class TestEstimateCommand:
         for name in ("standard_complex", "sample_levels"):
             monkeypatch.setattr(montecarlo_module, name, no_draw)
         code, out, err = run_cli(capsys, "estimate", "--set", "disk:level20:r1.5", "--seed", "9")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_deep_whirl_file_estimates_the_disk_mass(self, capsys, tmp_path):
+        # A level-40 whirl is stored as its two phases and sampled on the
+        # innovation path; the action keeps the unit disk's mass.
+        spec = tmp_path / "whirl.json"
+        spec.write_text(json.dumps(acted_set(make_gsk(0.5, 39), disk_product(0, 0j, 1.0)).to_json()))
+        code, out, _ = run_cli(capsys, "estimate", "--set", str(spec), "--samples", "100000")
+        assert code == 0
+        payload = json.loads(out)
+        exact = 1.0 - math.exp(-0.5)
+        assert abs(payload["estimate"] - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / payload["samples"])
+
+    def test_deep_set_off_every_fast_path_exits_two(self, capsys, tmp_path):
+        # A level-40 pattern that is not alternating has neither an innovation
+        # copy nor a read that fits; it is refused, not walked to a MemoryError.
+        w = np.exp(0.4j)
+        spec = tmp_path / "mixed.json"
+        element = GroupElement(40, [w, np.conj(w), 1.0, 1.0])
+        spec.write_text(json.dumps(acted_set(element, disk_product(0, 0j, 1.0)).to_json()))
+        code, out, err = run_cli(capsys, "estimate", "--set", str(spec), "--seed", "9")
         assert code == 2
         assert out == ""
         assert "budget" in err

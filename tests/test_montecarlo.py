@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -720,6 +721,20 @@ class TestReadPath:
             monkeypatch.setattr(montecarlo_module, name, no_draw)
         with pytest.raises(ValueError, match="budget"):
             estimate_measure(disk_product(20, 0j, 1.5), 20, 1000, RngStream(101))
+
+    def test_no_read_walk_where_no_read_fits(self):
+        # From level 21 on the read budget admits no read, so the set is
+        # refused without the walk, which would first allocate several
+        # level-22 arrays (a 432 MB peak).
+        target = acted_set(random_element(22, RngStream(102).generator()), disk_product(0, 0j, 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                event_indicators([target])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def _disjoint_family():

@@ -275,15 +275,16 @@ class TestActedSet:
 
     def test_innovation_copy_of_compact_elements(self):
         # A whirl and an identity read their pattern; the copy holds that
-        # pattern at level + 1, with the phases the dense check built.
+        # pattern at level + 1, and acts as the copy of the dense element.
         d = disk_product(1, 0.3j, 1.2)
+        x = _draws(72, 500, 2)
         for g in (make_gsk(0.7, 4), identity(5)):
-            dense = GroupElement(g.level, g.phases)
+            dense = acted_set(GroupElement(g.level, g.phases), d).innovation_copy(1)
             copy = acted_set(g, d).innovation_copy(1)
             assert copy.level == 2
             np.testing.assert_array_equal(copy.element.pattern, g.pattern)
-            np.testing.assert_array_equal(copy.element.phases, np.tile(dense.phases[:2], 2))
-            assert copy.to_json() == acted_set(dense, d).innovation_copy(1).to_json()
+            np.testing.assert_array_equal(copy.element.phases, dense.element.phases)
+            np.testing.assert_array_equal(copy.indicator_at(x), dense.indicator_at(x))
 
     def test_innovation_copy_of_dense_elements(self):
         # A dense element keeps the check on all of its phases: an alternating
@@ -293,7 +294,7 @@ class TestActedSet:
         alternating = GroupElement(3, np.tile([w, np.conj(w)], 4))
         copy = acted_set(alternating, d).innovation_copy(1)
         expected = acted_set(GroupElement(2, np.tile(alternating.phases[:2], 2)), d)
-        assert copy.to_json() == expected.to_json()
+        np.testing.assert_array_equal(copy.element.phases, expected.element.phases)
         x = _draws(70, 500, 2)
         np.testing.assert_array_equal(copy.indicator_at(x), expected.indicator_at(x))
         mixed = GroupElement(3, np.tile([w, np.conj(w), 1.0, 1.0], 2))
@@ -358,19 +359,36 @@ class TestJson:
         g = make_gsk(0.8, 1)
         self._roundtrip_and_compare(acted_set(g, disk_product(0, 0j, 1.0)), 2, 69)
 
-    def test_compact_elements_write_the_dense_json(self):
-        # Set JSON holds every phase; a compact element writes the JSON of the
-        # dense element with its phases, and reads back as that element.
+    def test_compact_json_holds_the_pattern(self):
+        # Set JSON holds the element's pattern, not its dense phases; an old
+        # dense file of the same element loads and acts the same.
         base = disk_product(1, [0.2j, 0.5 + 0j], 1.3)
         for g in (make_gsk(0.5, 3), identity(4), make_gsk(2.0, 0)):
             compact = acted_set(g, base)
-            dense = acted_set(GroupElement(g.level, g.phases), base)
-            assert compact.to_json() == dense.to_json()
-            clone = set_from_json(compact.to_json())
-            assert clone.to_json() == compact.to_json()
+            written = compact.to_json()
+            assert len(written["element"]["phases"]) == g.pattern.size
+            clone = set_from_json(written)
+            assert clone.to_json() == written
+            dense = set_from_json(acted_set(GroupElement(g.level, g.phases), base).to_json())
+            assert len(dense.to_json()["element"]["phases"]) == 1 << g.level
             x = _draws(71, 800, compact.level)
             np.testing.assert_array_equal(clone.indicator_at(x), compact.indicator_at(x))
             np.testing.assert_array_equal(dense.indicator_at(x), compact.indicator_at(x))
+        # A dense alternating whirl read from JSON still gets its copy.
+        w = np.exp(0.4j)
+        stored = acted_set(GroupElement(3, np.tile([w, np.conj(w)], 4)), base).to_json()
+        copy = set_from_json(stored).innovation_copy(2)
+        assert copy is not None
+        np.testing.assert_array_equal(copy.element.pattern, [w, np.conj(w)])
+
+    def test_deep_whirl_json_holds_two_phases(self):
+        whirl = acted_set(make_gsk(0.5, 39), disk_product(0, 0j, 1.0))
+        written = whirl.to_json()
+        assert len(written["element"]["phases"]) == 2
+        clone = set_from_json(written)
+        assert clone.to_json() == written
+        x = _draws(73, 800, 1)
+        np.testing.assert_array_equal(clone.innovation_copy(0).indicator_at(x), whirl.innovation_copy(0).indicator_at(x))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
