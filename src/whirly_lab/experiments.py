@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.special import chndtr
 
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
@@ -254,8 +253,14 @@ def _annulus_width(radius: float, center: complex, epsilon: float) -> tuple[floa
         return hi, mass(hi)
     if mass(lo) >= target:
         raise ValueError("no band width satisfies the annulus bound; epsilon is degenerate")
-    s = float(optimize.brentq(lambda x: mass(x) - target, lo, hi, xtol=1e-12, rtol=1e-12))
-    return s, mass(s)
+    # The band mass grows with s: bisect until lo and hi are adjacent floats,
+    # keeping mass(lo) < target <= mass(hi).
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mass(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, mass(lo)
 
 
 def verify_continuity(

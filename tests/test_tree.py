@@ -432,9 +432,10 @@ class TestDiskMass:
         np.testing.assert_array_equal(got, expected)
 
     def test_package_import_leaves_scipy_stats_out(self):
-        # The closed forms come from scipy.special; scipy.stats is slow to import.
+        # The closed forms come from scipy.special; scipy.stats and
+        # scipy.optimize are slow to import.
         src = Path(tree_module.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        check = "import sys, whirly_lab.cli; print('scipy.stats' in sys.modules)"
+        check = "import sys, whirly_lab.cli; print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
