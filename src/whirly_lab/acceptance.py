@@ -402,9 +402,3 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("engineering", "worker-count invariance and interval coverage", _run_engineering),
 )
 
-
-def run_all(
-    seed: int = ACCEPTANCE_SEED, workers: int = 1, scale: float = 1.0
-) -> list[tuple[Criterion, ExperimentReport]]:
-    """Run every criterion in order and pair it with its report."""
-    return [(c, c.run(seed=seed, workers=workers, scale=scale)) for c in CRITERIA]

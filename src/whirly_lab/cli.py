@@ -110,7 +110,7 @@ def resolve_seed(value: int | None) -> int:
 
 
 def _stream(args: argparse.Namespace) -> RngStream:
-    return RngStream(resolve_seed(args.seed), getattr(args, "stream", 0))
+    return RngStream(resolve_seed(args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,6 @@ def _report_command(report: ExperimentReport, args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${ENV_SEED} or {DEFAULT_SEED})")
-    parser.add_argument("--stream", type=int, default=0, help="stream id under the master seed")
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
     if workers:
         parser.add_argument("--workers", type=int, default=1, help="worker threads (results are identical for any count)")
@@ -197,8 +196,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["section", "key", "value"])
-        for key, value in sorted(est.json_dict().items()):
-            writer.writerow(["estimate", key, repr(value)])
+        writer.writerows(_flatten("estimate", est.json_dict()))
     return 0
 
 
@@ -220,7 +218,6 @@ def cmd_verify_continuity(args: argparse.Namespace) -> int:
         args.samples,
         _stream(args),
         pairs=args.pairs,
-        relaxed_delta=args.relaxed_delta,
         workers=args.workers,
     )
     return _report_command(report, args)
@@ -268,8 +265,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"{criterion.key}: {criterion.title}")
         return 0
     scale = 0.1 if args.quick else 1.0
-    if args.scale is not None:
-        scale = args.scale
     seed = resolve_seed(args.seed)
     chosen = CRITERIA
     if args.criteria:
@@ -345,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--relaxed-delta", action="store_true", help="use the larger tolerance constant sqrt(epsilon/3)")
     _add_common(p, workers=True)
     p.set_defaults(run=cmd_verify_continuity)
 
@@ -398,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="run at scale 0.1")
-    p.add_argument("--scale", type=float, default=None, help="explicit sample-count scale")
     p.add_argument("--criteria", type=str, default=None, help="comma-separated criterion keys")
     p.add_argument("--list", action="store_true", help="list criteria and exit")
     p.add_argument("--workers", type=int, default=1)

@@ -272,8 +272,6 @@ def verify_continuity(
     rng: RngStream,
     *,
     pairs: int = 20,
-    relaxed_delta: bool = False,
-    pair_distance_factor: float = 1.0,
     workers: int = 1,
 ) -> ExperimentReport:
     """Check that nearby group elements move a disk cylinder by less than
@@ -284,14 +282,7 @@ def verify_continuity(
     ``epsilon/3``.  The difference of the two rotated projections has expected
     squared modulus at most ``2*delta**2`` under this library's Gaussian
     convention, so ``delta = s*sqrt(epsilon/6)`` keeps the crossing
-    probability below ``epsilon/3`` by Markov's inequality.  With
-    ``relaxed_delta=True`` the larger constant ``s*sqrt(epsilon/3)`` is used
-    instead (it reads the squared-modulus bound with per-axis normalization);
-    both conventions are useful references, so the chosen one is reported.
-
-    ``pair_distance_factor`` scales the distance at which the random pairs are
-    generated; values above 1 deliberately violate the hypothesis so tests can
-    confirm the check has teeth.
+    probability below ``epsilon/3`` by Markov's inequality.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -306,11 +297,11 @@ def verify_continuity(
     started = time.perf_counter()
 
     band, annulus_mass = _annulus_width(radius, center, epsilon)
-    delta = band * math.sqrt(epsilon / (3.0 if relaxed_delta else 6.0))
+    delta = band * math.sqrt(epsilon / 6.0)
     target = disk_product(0, center, radius)
 
     pair_gen = rng.child(0).generator()
-    reach = min(delta * pair_distance_factor, 2.0) * (1.0 - 1e-12)
+    reach = min(delta, 2.0) * (1.0 - 1e-12)
     theta_max = 2.0 * math.asin(reach / 2.0)
 
     max_distance = 0.0
@@ -342,8 +333,6 @@ def verify_continuity(
         "n": n,
         "samples": samples,
         "pairs": pairs,
-        "relaxed_delta": relaxed_delta,
-        "pair_distance_factor": pair_distance_factor,
     }
     return _finish("verify-continuity", parameters, observed, thresholds, rng.master_seed, started)
 

@@ -14,10 +14,11 @@ Components that need several internal streams derive them with
 :meth:`RngStream.child`, which maps ``stream_id`` to ``64 * stream_id + 1 + index``.
 That map is injective and raises the id, so the streams derived from one
 stream never repeat each other or it.  It does not keep derived ids apart from
-ids picked by hand: every id that is not a multiple of 64 is already some
-stream's child (``RngStream(s, 1)`` is ``RngStream(s, 0).child(0)``, so a run
-with ``--stream 1`` repeats the draws of stream 0's first child).  Only
-hand-picked ids that are multiples of 64, 0 included, head disjoint families.
+ids picked by hand through ``RngStream(s, id)`` or :meth:`RngStream.substream`:
+every id that is not a multiple of 64 is already some stream's child
+(``RngStream(s, 1)`` is ``RngStream(s, 0).child(0)``).  Only hand-picked ids
+that are multiples of 64, 0 included, head disjoint families.  The command
+line always starts from id 0.
 """
 
 from __future__ import annotations

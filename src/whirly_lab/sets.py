@@ -30,7 +30,7 @@ instead of the level when they are fewer.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .tree import (
     LevelMismatchError,
     LevelVector,
     _div_real,
+    check_sampler_budget,
     project_vectors,
 )
 
@@ -336,6 +337,7 @@ CenterLike = Union[LevelVector, np.ndarray, Sequence[complex], complex, float]
 
 
 def _coerce_centers(level: int, centers: CenterLike) -> np.ndarray:
+    check_sampler_budget(level, 1)
     if isinstance(centers, LevelVector):
         if centers.level != level:
             raise LevelMismatchError(f"centers at level {centers.level}, set at level {level}")

@@ -143,7 +143,6 @@ class ComplexGaussianConvention:
     """
 
     SECOND_MOMENT = 2.0
-    SQUARED_MODULUS_VARIANCE = 4.0
 
     @staticmethod
     def disk_mass(radius: float, center: complex = 0.0) -> float:

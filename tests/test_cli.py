@@ -1,7 +1,9 @@
 """Command-line behavior: parsing, determinism, formats, and exit codes."""
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import whirly_lab.experiments as experiments_module
 import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
-from whirly_lab.cli import main, parse_set_spec
+from whirly_lab.cli import build_parser, main, parse_set_spec
 from whirly_lab.group import GroupElement, make_gsk
 from whirly_lab.rng import RngStream
 from whirly_lab.sets import DiskProduct, acted_set, disk_product
@@ -23,6 +25,7 @@ _UNION_SPEC = json.dumps(
 
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _leaves(value, path=""):
@@ -82,10 +85,17 @@ class TestSetSpecParsing:
         assert s.level == 1
         assert list(s.radii) == [2.0, 2.0]
 
-    def test_bad_specs_are_usage_errors(self):
-        import argparse
-
-        for text in ("disk:levelx:r1", "disk:level0", "{not json", "/no/such/file.json"):
+    def test_bad_specs_are_usage_errors(self, tmp_path):
+        # Sets too deep for the sampler budget are refused before their
+        # level-wide arrays are built (16 GiB for level 30).
+        deep_halfspace = tmp_path / "halfspace.json"
+        deep_halfspace.write_text(
+            json.dumps({"kind": "halfspace", "level": 40, "normal": [[1.0, 0.0]], "offset": 0.0})
+        )
+        for text in (
+            "disk:levelx:r1", "disk:level0", "{not json", "/no/such/file.json",
+            "disk:level30:r1", str(deep_halfspace),
+        ):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_set_spec(text)
 
@@ -145,6 +155,22 @@ class TestEstimateCommand:
         _, out1, _ = run_cli(capsys, "estimate", "--set", "disk:level0:r1.0", "--samples", "5000", "--seed", "9")
         _, out2, _ = run_cli(capsys, "estimate", "--set", inline, "--samples", "5000", "--seed", "9")
         assert out1 == out2
+
+    def test_csv_rows_are_the_json_fields(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--set", "disk:level1:r1.0", "--samples", "20000", "--seed", "31415926",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "section,key,value",
+            'estimate,ci,"[0.1506919518282088, 0.16074030340363046]"',
+            "estimate,confidence,0.95",
+            "estimate,estimate,0.15565",
+            "estimate,hits,3113",
+            "estimate,samples,20000",
+            "estimate,seed,31415926",
+        ]
 
     def test_worker_invariance_is_byte_exact(self, capsys):
         args = ["estimate", "--set", "disk:level1:r1.2", "--samples", "30000", "--seed", "10"]
@@ -325,9 +351,16 @@ class TestVerifyCommands:
         assert exc.value.code == 2
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--frobnicate", "1"])
-        assert exc.value.code == 2
+        # Each command line passes one flag its command does not take.
+        for argv in (
+            ["sample", "--frobnicate", "1"],
+            ["estimate", "--set", "disk:level0:r1", "--stream", "1"],
+            ["verify-continuity", "--relaxed-delta"],
+            ["suite", "--scale", "0.5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestSuiteCommand:
@@ -413,3 +446,20 @@ class TestSuiteCommand:
         code, _, err = run_cli(capsys, "suite", "--criteria", "nonsense")
         assert code == 2
         assert "unknown criteria" in err
+
+
+def test_readme_flags_are_accepted():
+    # Every flag on a ``whirly-lab`` command line, and every flag the
+    # README's "Command line" section names, is an option of some command.
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {flag for command in commands.values() for flag in command._option_string_actions}
+    named = set()
+    in_section = False
+    for line in README.read_text().splitlines():
+        if line.startswith("## "):
+            in_section = line == "## Command line"
+        if in_section or "whirly-lab" in line:
+            named.update(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line))
+    named.discard("--no-build-isolation")
+    assert {"--seed", "--format", "--workers", "--quick"} <= named
+    assert sorted(named - accepted) == []

@@ -1,6 +1,7 @@
 """Borel set nodes: membership, algebra, acted images, and JSON round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestDiskProduct:
             disk_product(0, 0j, -1.0)
         with pytest.raises(ValueError):
             disk_product(0, 0j, math.nan)
+
+    def test_deep_level_is_refused_before_any_allocation(self):
+        # Broadcasting the scalar center to level 30 would take 16 GiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                disk_product(30, 0j, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestHalfspace:
