@@ -27,6 +27,7 @@ from .experiments import (
     ExperimentReport,
     SIGMA_LIMIT,
     _finish,
+    _sigma,
     positivity_scan,
     sharpness_check,
     verify_action_identity,
@@ -37,11 +38,13 @@ from .experiments import (
     whirly_search,
 )
 from .group import identity, make_gsk, random_element
-from .montecarlo import MIN_SAMPLES, estimate_measure, tally_blocks, wilson_interval
+from .montecarlo import MIN_SAMPLES, binomial_se, estimate_measure, tally_blocks, wilson_interval
 from .rng import RngStream
-from .sets import acted_set, disk_mass, disk_product
+from .sets import acted_set, disk_product
 from .tree import (
     LevelVector,
+    disk_mass,
+    disk_product_mass,
     phi_roundtrip,
     project_vectors,
     sample_levels,
@@ -178,12 +181,11 @@ def _run_estimator(seed: int, workers: int, scale: float) -> ExperimentReport:
         centers = 0.7 * (gen.standard_normal(width) + 1j * gen.standard_normal(width))
         target = disk_product(level, centers, radii)
         g = random_element(level, gen)
-        exact = float(np.prod([disk_mass(r, c) for r, c in zip(radii, centers)]))
+        exact = float(disk_product_mass(radii, centers))
         est = estimate_measure(
             acted_set(g, target), level + 1, samples, stream.child(1 + i), workers=workers
         )
-        se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / samples)
-        max_sigma = max(max_sigma, abs(est.estimate - exact) / se)
+        max_sigma = max(max_sigma, _sigma(abs(est.estimate - exact), binomial_se(exact, samples)))
 
     observed = {"max_sigma": float(max_sigma)}
     thresholds = {"max_sigma": {"max": SIGMA_LIMIT}}
@@ -208,9 +210,7 @@ def _run_convolution(seed: int, workers: int, scale: float) -> ExperimentReport:
     worst = max(reports, key=lambda r: r.observed["sigma_difference"])
     max_anchor_dev = max(abs(r.observed["direct_estimate"] - _DISK_ANCHOR) for r in reports)
 
-    anchor_tol = max(
-        0.0025, SIGMA_LIMIT * math.sqrt(_DISK_ANCHOR * (1.0 - _DISK_ANCHOR) / samples)
-    )
+    anchor_tol = max(0.0025, SIGMA_LIMIT * float(binomial_se(_DISK_ANCHOR, samples)))
     observed = {
         "max_sigma": worst.observed["sigma_difference"],
         "max_anchor_deviation": float(max_anchor_dev),

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chndtr
 
 from .group import GroupElement, act, compose, make_gsk, random_element, uniform_distance
 from .montecarlo import (
     MIN_SAMPLES,
     MeasureEstimate,
+    binomial_se,
     block_buffer,
     default_block_size,
     estimate_joint_events,
@@ -41,7 +41,6 @@ from .sets import (
     DiskProduct,
     acted_set,
     affine_image,
-    disk_mass,
     disk_product,
     symmetric_difference,
 )
@@ -49,6 +48,8 @@ from .tree import (
     LevelVector,
     _div_real,
     check_sampler_budget,
+    disk_mass,
+    disk_product_mass,
     project,
     sample_levels,
     sample_tree,
@@ -385,9 +386,7 @@ def verify_convolution(
     fubini = fubini_hits / samples
     direct = estimate_measure(target, n, samples, rng.child(1), workers=workers)
 
-    se = math.hypot(
-        math.sqrt(max(fubini * (1.0 - fubini), 0.0) / samples), direct.std_error
-    )
+    se = math.hypot(binomial_se(fubini, samples), direct.std_error)
     diff = abs(fubini - direct.estimate)
     observed = {
         "fubini_estimate": fubini,
@@ -457,7 +456,7 @@ def verify_conditional_independence(
     reference = estimate_measure(reference_set, n, samples, rng.child(2), workers=workers)
 
     marginals = np.array([table.marginal(j) for j in range(m)])
-    se_marginals = np.sqrt(np.clip(marginals * (1.0 - marginals), 0.0, None) / samples)
+    se_marginals = binomial_se(marginals, samples)
     max_marginal_sigma = 0.0
     for p, se_p in zip(marginals, se_marginals):
         se = math.hypot(se_p, reference.std_error)
@@ -474,8 +473,7 @@ def verify_conditional_independence(
         rel = se_marginals / np.maximum(terms, floor)
         se_expected = expected * math.sqrt(float(np.sum(rel * rel)))
         cell = float(probs[code])
-        se_cell = math.sqrt(max(cell * (1.0 - cell), 0.0) / samples)
-        se = math.hypot(se_cell, se_expected)
+        se = math.hypot(binomial_se(cell, samples), se_expected)
         diff = abs(cell - expected)
         max_cell_sigma = max(max_cell_sigma, _sigma(diff, se))
 
@@ -552,14 +550,11 @@ def _fiber_scan(
     ``measures`` holds the measure of ``sqrt(1+a**2)*K + a*z`` for each ``z``
     of :func:`_scanned_hits` (same stream, same shape).  For a
     :class:`~whirly_lab.sets.DiskProduct` it is exact and only the ``z`` are
-    drawn: ``w`` lies in the translate when ``|w_i - (a*z_i + s*c_i)| <
-    s*r_i`` for every ``i``, ``s = sqrt(1+a**2)``, and ``|w_i - mu|**2`` is
-    noncentral chi-square with 2 degrees of freedom and noncentrality
-    ``|mu|**2`` (:class:`~whirly_lab.tree.ComplexGaussianConvention`), so the
-    measure is ``prod_i chndtr((s*r_i)**2, 2, |a*z_i + s*c_i|**2)`` and
-    ``hits`` is ``None``.  Any other ``K`` is scanned: ``hits`` holds
-    :func:`_scanned_hits`'s counts and ``measures`` is ``hits /
-    inner_samples``.  Both tallies run on ``workers`` threads.  Fewer than
+    drawn: it is :func:`~whirly_lab.tree.disk_product_mass` at ``scale =
+    sqrt(1+a**2)`` and ``shifts = a*z``, and ``hits`` is ``None``.  Any
+    other ``K`` is scanned: ``hits`` holds :func:`_scanned_hits`'s counts
+    and ``measures`` is ``hits / inner_samples``.  Both tallies run on
+    ``workers`` threads.  Fewer than
     10 ``z`` or ``MIN_SAMPLES`` inner samples, or a draw that would not fit
     the sampler budget (all ``z`` at once, or one block), is refused with a
     ``ValueError`` before anything is drawn.
@@ -577,8 +572,7 @@ def _fiber_scan(
         return base, hits / inner_samples, hits
     scale = math.sqrt(1.0 + a * a)
     zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
-    offsets = np.abs(a * zs + scale * target.centers)
-    return base, np.prod(chndtr(np.square(scale * target.radii), 2, np.square(offsets)), axis=1), None
+    return base, disk_product_mass(target.radii, target.centers, scale, a * zs), None
 
 
 def positivity_scan(
@@ -718,7 +712,7 @@ def whirly_search(
 
     hits = tally_blocks(union_block, samples, rng.child(3), block_size=block_size, workers=workers)
     estimates = hits / samples
-    ses = np.sqrt(estimates * (1.0 - estimates) / samples)
+    ses = binomial_se(estimates, samples)
     margins = estimates - SIGMA_LIMIT * ses
     # The curve stops at the first union that clears 1 - epsilon.
     passing = np.flatnonzero(margins > 1.0 - epsilon)

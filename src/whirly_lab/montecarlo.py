@@ -215,6 +215,11 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError("confidence must lie strictly between 0 and 1")
 
 
+def binomial_se(p: float | np.ndarray, samples: int) -> float | np.ndarray:
+    """Binomial standard error ``sqrt(p*(1-p)/samples)`` of a proportion or an array of them."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / samples)
+
+
 def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -240,7 +245,7 @@ def wilson_interval(hits: int, samples: int, confidence: float = DEFAULT_CONFIDE
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Monte Carlo measure estimate with its Wilson interval and provenance."""
+    """Monte Carlo measure estimate with its Wilson interval, binomial SE and provenance."""
 
     estimate: float
     ci_low: float
@@ -252,9 +257,8 @@ class MeasureEstimate:
 
     @property
     def std_error(self) -> float:
-        """Binomial standard error of the point estimate."""
-        p = self.estimate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.samples)
+        """Binomial standard error of the point estimate, :func:`binomial_se`."""
+        return float(binomial_se(self.estimate, self.samples))
 
     def json_dict(self) -> dict:
         return {

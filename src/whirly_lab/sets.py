@@ -36,7 +36,6 @@ import numpy as np
 
 from .group import GroupElement, embed
 from .tree import (
-    ComplexGaussianConvention,
     DepthMismatchError,
     LevelMismatchError,
     LevelVector,
@@ -44,8 +43,6 @@ from .tree import (
     check_sampler_budget,
     project_vectors,
 )
-
-disk_mass = ComplexGaussianConvention.disk_mass
 
 # Widest row that DiskProduct tests one column at a time.  At 64k values per
 # block the column loop is faster up to 16 entries and the broadcast from 32

@@ -23,8 +23,8 @@ innovation coordinates and :func:`tree_from_innovations`, and stays the
 reference the leaf-first sampler is tested against.
 
 "Standard complex Gaussian" throughout this library means: independent real
-and imaginary parts, each mean 0 and variance 1.  See
-:class:`ComplexGaussianConvention` for the closed forms this pins down.
+and imaginary parts, each mean 0 and variance 1.  The "sampling convention"
+section below holds the Gaussian closed forms this pins down.
 
 Levels are stored as numpy arrays in path order: the length-n string with bits
 ``b_0 .. b_{n-1}`` (root end first) lives at index ``sum(b_j * 2**(n-1-j))``,
@@ -127,36 +127,43 @@ def as_path(path: PathLike) -> DyadicPath:
 # ---------------------------------------------------------------------------
 
 
-class ComplexGaussianConvention:
-    """Library-wide convention for complex Gaussian draws.
+# The library-wide convention for complex Gaussian draws: a standard complex
+# Gaussian has independent real and imaginary parts, each mean 0 and variance
+# 1.  Closed forms used as oracles elsewhere:
+#
+# * ``E|Z|**2 == SECOND_MOMENT`` and ``Var(|Z|**2) == 4``;
+# * ``|Z - c|**2`` follows a noncentral chi-square with 2 degrees of freedom
+#   and noncentrality ``|c|**2``, so the open disk of radius ``r`` about ``c``
+#   has mass ``scipy.special.chndtr(r**2, 2, |c|**2)``, the ``ncx2.cdf`` of
+#   ``scipy.stats`` bit for bit, which reduces to ``1 - exp(-r**2 / 2)`` for a
+#   centered disk; the entries of a level vector are independent, so a disk
+#   product has the product of its disks' masses;
+# * the law is invariant under multiplication by any unit-modulus constant.
 
-    A standard complex Gaussian has independent real and imaginary parts, each
-    mean 0 and variance 1.  Closed forms used as oracles elsewhere:
+SECOND_MOMENT = 2.0
 
-    * ``E|Z|**2 == 2`` and ``Var(|Z|**2) == 4``;
-    * ``|Z - c|**2`` follows a noncentral chi-square with 2 degrees of freedom
-      and noncentrality ``|c|**2``, so the open disk of radius ``r`` about
-      ``c`` has mass ``scipy.special.chndtr(r**2, 2, |c|**2)``, the
-      ``ncx2.cdf`` of ``scipy.stats`` bit for bit, which reduces to
-      ``1 - exp(-r**2 / 2)`` for a centered disk;
-    * the law is invariant under multiplication by any unit-modulus constant.
-    """
 
-    SECOND_MOMENT = 2.0
+def disk_mass(radius: float, center: complex = 0.0) -> float:
+    """Probability that a standard complex Gaussian lies in ``|z - center| < radius``."""
+    if radius != radius:
+        raise ValueError("radius must not be NaN")
+    if radius <= 0.0:
+        return 0.0
+    if math.isinf(radius):
+        return 1.0
+    offset = abs(center)
+    if offset == 0.0:
+        return -math.expm1(-0.5 * radius * radius)
+    return float(chndtr(radius * radius, 2, offset * offset))
 
-    @staticmethod
-    def disk_mass(radius: float, center: complex = 0.0) -> float:
-        """Probability that a standard complex Gaussian lies in ``|z - center| < radius``."""
-        if radius != radius:
-            raise ValueError("radius must not be NaN")
-        if radius <= 0.0:
-            return 0.0
-        if math.isinf(radius):
-            return 1.0
-        offset = abs(center)
-        if offset == 0.0:
-            return -math.expm1(-0.5 * radius * radius)
-        return float(chndtr(radius * radius, 2, offset * offset))
+
+def disk_product_mass(radii: np.ndarray, centers: np.ndarray, scale: float = 1.0,
+                      shifts: np.ndarray | float = 0.0) -> np.ndarray:
+    """Measure of ``scale*K + shifts`` for the product ``K`` of open disks of
+    ``radii`` about ``centers``, along the last axis:
+    ``prod_i chndtr((scale*r_i)**2, 2, |shifts_i + scale*c_i|**2)``."""
+    offsets = np.abs(shifts + scale * centers)
+    return np.prod(chndtr(np.square(scale * radii), 2, np.square(offsets)), axis=-1)
 
 
 def standard_complex(

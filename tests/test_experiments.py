@@ -11,6 +11,7 @@ import pytest
 import whirly_lab.experiments as experiments_module
 import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
+from whirly_lab.tree import disk_product_mass
 from whirly_lab import (
     ExperimentReport,
     LevelVector,
@@ -340,6 +341,18 @@ class TestTranslatedScan:
         assert hits is None
         zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
         np.testing.assert_allclose(exact, self._disk_mass_product(target, a, zs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("a", [-1.3, 0.7])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_exact_measures_are_the_translated_disk_product_mass(self, level, a):
+        gen = np.random.default_rng(137 + level)
+        width = 1 << level
+        target = disk_product(level, 0.6 * standard_complex(gen, (width,)), 0.8 + gen.random(width))
+        rng = RngStream(137)
+        _, exact, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
+        zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
+        scale = math.sqrt(1.0 + a * a)
+        np.testing.assert_array_equal(exact, disk_product_mass(target.radii, target.centers, scale, a * zs))
 
     def test_binomial_hits_follow_the_scan_on_the_same_z(self):
         # Same z (rng.child(1)), independent inner draws: the scan's blocks of

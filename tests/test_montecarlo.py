@@ -294,6 +294,27 @@ class TestWilson:
         assert 0.0 <= low <= hits / samples <= high <= 1.0
 
 
+class TestBinomialSE:
+    P = [0.0, 1e-7, 0.25, 0.3934693402873666, 0.5, 0.9, 1.0 - 2.0**-53, 1.0]
+
+    @pytest.mark.parametrize("samples", [100, 1_000_000])
+    def test_equals_the_forms_it_replaced_bit_for_bit(self, samples):
+        se = montecarlo_module.binomial_se
+        for p in self.P:
+            assert se(p, samples) == math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+            assert se(p, samples) == math.sqrt(p * (1.0 - p) / samples)
+            if p * (1.0 - p) >= 1e-12:
+                assert se(p, samples) == math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
+        p = np.array(self.P)
+        np.testing.assert_array_equal(se(p, samples), np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / samples))
+        np.testing.assert_array_equal(se(p, samples), np.sqrt(p * (1.0 - p) / samples))
+
+    def test_std_error_is_a_float(self):
+        est = estimate_measure(disk_product(0, 0j, 1.0), 0, 1000, RngStream(5))
+        assert type(est.std_error) is float
+        assert est.std_error == montecarlo_module.binomial_se(est.estimate, 1000)
+
+
 class TestEstimateMeasure:
     def test_matches_disk_mass(self):
         est = estimate_measure(disk_product(0, 0j, 1.0), 0, 100_000, RngStream(73))

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 import whirly_lab.tree as tree_module
 from whirly_lab import (
-    ComplexGaussianConvention,
     DepthMismatchError,
     DyadicPath,
     LevelMismatchError,
@@ -329,7 +329,7 @@ class TestMarginals:
         x = levels[4]
         assert np.abs(x.mean(axis=0)).max() < 4.0 * math.sqrt(2.0 / count)
         second = (np.abs(x) ** 2).mean(axis=0)
-        assert np.abs(second - ComplexGaussianConvention.SECOND_MOMENT).max() < 4.0 * 2.0 / math.sqrt(count)
+        assert np.abs(second - tree_module.SECOND_MOMENT).max() < 4.0 * 2.0 / math.sqrt(count)
 
     def test_aggregated_innovations_are_standard(self):
         count = 60_000
@@ -387,7 +387,7 @@ class TestLeafFirstSampler:
         # Both also sit at the closed forms: second moment 2, cross-moment 0.
         for stats in (leaf_first, root_first):
             for key, value in stats.items():
-                expected = 0.0 if key.startswith("xu") else ComplexGaussianConvention.SECOND_MOMENT
+                expected = 0.0 if key.startswith("xu") else tree_module.SECOND_MOMENT
                 assert np.max(np.abs(value - expected)) < 4.5 * math.sqrt(4.0 / self.COUNT), key
 
     def test_averaging_constraint_holds_exactly(self):
@@ -430,6 +430,29 @@ class TestDiskMass:
         expected = stats.ncx2.cdf(radii * radii, 2, offsets * offsets)
         got = [disk_mass(float(r), c) for r, c in zip(radii, centers)]
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_disk_product_mass_is_the_product_of_disk_masses(self, level):
+        # Off-center disks, as the estimator criterion draws them.  NumPy's
+        # vectorized complex abs may round |c| one ulp away from the scalar
+        # abs of disk_mass, so the two agree to rounding, not bit for bit.
+        gen = np.random.default_rng(40 + level)
+        width = 1 << level
+        for _ in range(200):
+            radii = gen.uniform(0.6, 1.8, size=width)
+            centers = 0.7 * (gen.standard_normal(width) + 1j * gen.standard_normal(width))
+            product = np.prod([disk_mass(r, c) for r, c in zip(radii, centers)])
+            assert tree_module.disk_product_mass(radii, centers) == pytest.approx(product, rel=1e-14, abs=0.0)
+
+    def test_gaussian_closed_forms_have_one_home(self):
+        # Every other module takes its exact disk laws from tree.py.
+        package = Path(tree_module.__file__).parent
+        naming = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if path.name != "tree.py" and re.search(r"\b(chndtr|expm1)\b", path.read_text())
+        ]
+        assert naming == []
 
     def test_package_import_leaves_scipy_stats_out(self):
         # The closed forms come from scipy.special; scipy.stats and
