@@ -55,7 +55,7 @@ from .tree import (
 
 ACCEPTANCE_SEED = 31415926
 
-_DISK_ANCHOR = 0.3934693  # 1 - exp(-1/2), mass of the unit disk at level 0
+_DISK_ANCHOR = disk_mass(1.0)  # mass of the unit disk at level 0
 
 _SEARCH_BUDGET_MS = 300_000  # wall-clock bound on the whirly criterion's search
 
