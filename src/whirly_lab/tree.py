@@ -536,10 +536,8 @@ def tree_from_innovations(root: complex, innovation_levels: Sequence[np.ndarray]
 
 def phi_roundtrip(tree: TreeSample) -> float:
     """Max absolute error over all nodes after mapping a tree to its
-    (root, innovations) coordinates and back."""
+    (root, innovations) coordinates and back; NaN if any node's error is."""
     root, us = innovations(tree)
     rebuilt = tree_from_innovations(root, us)
-    return max(
-        float(np.max(np.abs(tree.level(n) - rebuilt.level(n))))
-        for n in range(tree.depth + 1)
-    )
+    residuals = [np.max(np.abs(tree.level(n) - rebuilt.level(n))) for n in range(tree.depth + 1)]
+    return float(np.max(residuals))

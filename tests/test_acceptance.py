@@ -6,11 +6,12 @@ everything is green.
 """
 
 import dataclasses
+import math
 
 import pytest
 
 import whirly_lab.acceptance as acceptance_module
-from whirly_lab import ACCEPTANCE_SEED, CRITERIA
+from whirly_lab import ACCEPTANCE_SEED, CRITERIA, ExperimentReport
 
 
 def test_battery_is_complete():
@@ -74,3 +75,30 @@ def test_limits_follow_the_experiment(monkeypatch, key, experiment, statistic, l
     criterion = next(c for c in CRITERIA if c.key == key)
     report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
     assert {name: report.thresholds[name] for name in carried} == carried
+
+
+# Each mutation turns some exact residuals of the identities criterion into
+# NaN; the criterion's folds must keep the NaN, so that it fails its limit.
+_NAN_RESIDUALS = [
+    ("project_vectors", ("max_pushforward_residual", "max_action_residual")),
+    ("u_stat_arrays", ("max_recursion_residual", "max_action_residual")),
+    ("phi_roundtrip", ("max_roundtrip_residual",)),
+    ("verify_action_identity", ("max_single_tree_residual",)),
+]
+
+
+@pytest.mark.parametrize("name, residuals", _NAN_RESIDUALS, ids=[c[0] for c in _NAN_RESIDUALS])
+def test_nan_residuals_fail_the_identities(monkeypatch, name, residuals):
+    exact = getattr(acceptance_module, name)
+
+    def nan_result(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        if isinstance(result, ExperimentReport):
+            return dataclasses.replace(result, observed={"max_residual": math.nan})
+        return result * math.nan
+
+    monkeypatch.setattr(acceptance_module, name, nan_result)
+    criterion = next(c for c in CRITERIA if c.key == "identities")
+    report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
+    assert [key for key, value in report.observed.items() if math.isnan(value)] == list(residuals)
+    assert not report.passed

@@ -107,6 +107,13 @@ class TestActionIdentity:
             assert report.passed
             assert report.observed["max_residual"] < 1e-10
 
+    def test_nan_residuals_fail(self, monkeypatch):
+        exact = experiments_module.u_stat_vector
+        monkeypatch.setattr(experiments_module, "u_stat_vector", lambda *args: exact(*args) * math.nan)
+        report = verify_action_identity(1, 2, 1.0, 3, RngStream(107))
+        assert math.isnan(report.observed["max_residual"])
+        assert not report.passed
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_action_identity(3, 2, 1.0, 10, RngStream(108))

@@ -293,6 +293,18 @@ class TestInnovations:
             np.testing.assert_allclose(rebuilt.level(n), tree.level(n), atol=1e-12)
         assert phi_roundtrip(tree) < 1e-10
 
+    def test_nan_innovations_fail_the_roundtrip(self, monkeypatch):
+        # The root round-trips exactly, so only a fold that keeps NaN sees
+        # the NaN levels below it.
+        exact = tree_module.innovations
+
+        def nan_innovations(tree):
+            root, innov = exact(tree)
+            return root, [u * math.nan for u in innov]
+
+        monkeypatch.setattr(tree_module, "innovations", nan_innovations)
+        assert math.isnan(phi_roundtrip(sample_tree(3, RngStream(14))))
+
     def test_innovations_are_the_sibling_differences(self):
         tree = sample_tree(2, RngStream(15))
         _, innov = innovations(tree)
