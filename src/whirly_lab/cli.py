@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -45,17 +46,28 @@ DEFAULT_SEED = ACCEPTANCE_SEED
 # ---------------------------------------------------------------------------
 
 
+def finite_float(text: str) -> float:
+    """Parse a finite number; NaN and the infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Parse ``X`` or ``X,Y`` as a complex number."""
+    """Parse ``X`` or ``X,Y`` as a complex number with finite parts."""
     parts = text.split(",")
     try:
         if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
+            return complex(finite_float(parts[0]), 0.0)
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+            return complex(finite_float(parts[0]), finite_float(parts[1]))
+    except argparse.ArgumentTypeError:
         pass
-    raise argparse.ArgumentTypeError(f"expected X or X,Y with numeric parts, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected X or X,Y with finite numeric parts, got {text!r}")
 
 
 def parse_set_spec(text: str) -> BorelSet:
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate the measure of a set")
     p.add_argument("--set", type=parse_set_spec, required=True, help="disk:levelN:rR[:cX,Y], inline JSON, or a JSON file")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=finite_float, default=0.95)
     _add_common(p, workers=True)
     p.set_defaults(run=cmd_estimate)
 
@@ -328,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-action-identity", help="check the exact whirling action identity")
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=finite_float, default=1.0)
     p.add_argument("--trials", type=int, default=200)
     _add_common(p)
     p.set_defaults(run=cmd_verify_action_identity)
 
     p = sub.add_parser("verify-continuity", help="check measure continuity of the action")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=finite_float, default=1.0)
     p.add_argument("--center", type=parse_complex, default=0j)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=finite_float, default=0.1)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--pairs", type=int, default=20)
@@ -345,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-convolve", help="check the translated-set averaging identity")
     p.add_argument("--set", type=parse_set_spec, default=_default_disk())
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--a", type=finite_float, default=1.0)
     p.add_argument("--samples", type=int, default=1_000_000)
     _add_common(p, workers=True)
     p.set_defaults(run=cmd_verify_convolve)
 
     p = sub.add_parser("verify-independence", help="check conditional independence of whirled events")
     p.add_argument("--set", type=parse_set_spec, default=_default_disk())
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=finite_float, default=1.0)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--samples", type=int, default=100_000)
     _add_common(p, workers=True)
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("positivity-scan", help="scan translated measures for positivity")
     p.add_argument("--set", type=parse_set_spec, default=_default_disk())
-    p.add_argument("--a", type=float, default=-2.0)
+    p.add_argument("--a", type=finite_float, default=-2.0)
     p.add_argument("--z-samples", type=int, default=200)
     p.add_argument("--inner-samples", type=int, default=10_000)
     _add_common(p)
@@ -368,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whirly-search", help="search for whirling elements that inflate a set")
     p.add_argument("--set", type=parse_set_spec, default=_default_disk())
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=finite_float, default=0.5)
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--z-samples", type=int, default=200)
@@ -383,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_whirly_search)
 
     p = sub.add_parser("sharpness", help="check concentration of the scaling statistic")
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--a", type=finite_float, default=2.0)
+    p.add_argument("--b", type=finite_float, default=1.0)
     p.add_argument("--dims", type=int, default=10_000)
     p.add_argument("--samples", type=int, default=200)
     _add_common(p)

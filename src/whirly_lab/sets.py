@@ -345,6 +345,8 @@ def _coerce_centers(level: int, centers: CenterLike) -> np.ndarray:
             arr = np.full(1 << level, arr[0], dtype=np.complex128)
     if arr.size != 1 << level:
         raise ValueError(f"level {level} requires {1 << level} centers, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("centers, normals and shifts must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -92,12 +92,20 @@ class TestSetSpecParsing:
         deep_halfspace.write_text(
             json.dumps({"kind": "halfspace", "level": 40, "normal": [[1.0, 0.0]], "offset": 0.0})
         )
+        disk = '{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}'
         for text in (
             "disk:levelx:r1", "disk:level0", "{not json", "/no/such/file.json",
             "disk:level30:r1", str(deep_halfspace),
+            # Non-finite centers, normals and shifts, in shorthand and JSON.
+            "disk:level0:r1:cnan,0", "disk:level0:r1:c0,inf", "disk:level0:r1:c-inf",
+            disk.replace("[[0.0, 0.0]]", "[[NaN, 0.0]]"),
+            '{"kind": "halfspace", "level": 0, "normal": [[Infinity, 0.0]], "offset": 0.0}',
+            '{"kind": "affine-image", "scale": 1.0, "shift": [[0.0, -Infinity]], "base": ' + disk + "}",
         ):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_set_spec(text)
+        # An infinite radius is allowed: that factor is the whole plane.
+        assert parse_set_spec("disk:level0:rinf").radii[0] == math.inf
 
 
 class TestSampleCommand:
@@ -344,6 +352,29 @@ class TestVerifyCommands:
         )
         assert code == 0, err
         assert json.loads(out)["parameters"]["level"] == 14
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_exit_two(self, capsys, value):
+        # Each numeric flag that takes a real or complex number, and a
+        # shorthand set's center, refuses NaN and the infinities while parsing.
+        for argv in (
+            ["verify-convolve", "--a", value],
+            ["positivity-scan", "--a", value],
+            ["sharpness", "--a", value],
+            ["sharpness", "--b", value],
+            ["verify-action-identity", "--s", value],
+            ["verify-independence", "--s", value],
+            ["verify-continuity", "--epsilon", value],
+            ["whirly-search", "--epsilon", value],
+            ["verify-continuity", "--radius", value],
+            ["verify-continuity", "--center", f"0,{value}"],
+            ["estimate", "--set", "disk:level0:r1", "--confidence", value],
+            ["estimate", "--set", f"disk:level0:r1:c{value},0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().out == "", argv
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

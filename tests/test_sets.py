@@ -108,6 +108,15 @@ class TestDiskProduct:
         with pytest.raises(ValueError):
             disk_product(0, 0j, math.nan)
 
+    def test_rejects_non_finite_centers_normals_and_shifts(self):
+        for bad in (math.nan, complex(0.0, math.inf), -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                disk_product(1, [0j, bad], 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                halfspace(0, bad, 0.0)
+            with pytest.raises(ValueError, match="finite"):
+                affine_image(disk_product(0, 0j, 1.0), 2.0, bad)
+
     def test_deep_level_is_refused_before_any_allocation(self):
         # Broadcasting the scalar center to level 30 would take 16 GiB.
         tracemalloc.start()
