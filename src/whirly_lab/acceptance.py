@@ -110,6 +110,8 @@ def _run_identities(seed: int, workers: int, scale: float) -> ExperimentReport:
     trials = _scaled(1000, scale, 50)
     s_values = (0.0, 0.5, -0.5, 1.0, -1.0, 3.0)
 
+    # The folds take np.maximum, which, unlike max, keeps a NaN residual,
+    # so that it fails its limit.
     max_push = 0.0
     max_recursion = 0.0
     max_action = 0.0
@@ -139,7 +141,6 @@ def _run_identities(seed: int, workers: int, scale: float) -> ExperimentReport:
 
     single = verify_action_identity(1, 3, 1.0, min(trials, 100), stream.child(1))
 
-    # np.maximum, unlike max, keeps a NaN residual, which then fails its limit.
     observed = {
         "max_pushforward_residual": float(max_push),
         "max_recursion_residual": float(max_recursion),

@@ -554,10 +554,10 @@ def _fiber_scan(
     sqrt(1+a**2)`` and ``shifts = a*z``, and ``hits`` is ``None``.  Any
     other ``K`` is scanned: ``hits`` holds :func:`_scanned_hits`'s counts
     and ``measures`` is ``hits / inner_samples``.  Both tallies run on
-    ``workers`` threads.  Fewer than
-    10 ``z`` or ``MIN_SAMPLES`` inner samples, or a draw that would not fit
-    the sampler budget (all ``z`` at once, or one block), is refused with a
-    ``ValueError`` before anything is drawn.
+    ``workers`` threads.  Fewer than 10 ``z`` or ``MIN_SAMPLES`` inner
+    samples, or a draw that would not fit the sampler budget (all ``z`` at
+    once, or one block), is refused with a ``ValueError`` before anything is
+    drawn.
     """
     if z_samples < 10:
         raise ValueError("need at least 10 z samples")
