@@ -11,7 +11,6 @@ import pytest
 import whirly_lab.experiments as experiments_module
 import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
-from whirly_lab.tree import disk_product_mass
 from whirly_lab import (
     ExperimentReport,
     LevelVector,
@@ -359,7 +358,7 @@ class TestTranslatedScan:
         _, exact, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
         zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
         scale = math.sqrt(1.0 + a * a)
-        np.testing.assert_array_equal(exact, disk_product_mass(target.radii, target.centers, scale, a * zs))
+        np.testing.assert_array_equal(exact, tree_module.disk_product_mass(target.radii, target.centers, scale, a * zs))
 
     def test_binomial_hits_follow_the_scan_on_the_same_z(self):
         # Same z (rng.child(1)), independent inner draws: the scan's blocks of
