@@ -7,11 +7,12 @@ score confidence interval.
 Every estimate draws through one block sampler, :func:`event_indicators`,
 which draws only what a family of events reads and chooses how from the
 family alone: whirled events in innovation coordinates, ``(m + 1) * 2**N``
-draws per sample for ``m`` distinct bits; other unconditional families
-through the exact joint law of their ``D`` stacked linear reads when ``D``
-plus the off-diagonal entries of their per-group triangular factors stays
-below ``2**L``; and otherwise the deepest level the family needs, never a
-level below it.  The sampler budget is checked on the level the blocks fill;
+draws per sample for ``m`` distinct bits, with one copy per pattern and base
+evaluated once per bit (``_innovation_plan`` alone decides which families
+qualify); other unconditional families through the exact joint law of their
+``D`` stacked linear reads when ``D`` plus the off-diagonal entries of their
+per-group triangular factors stays below ``2**L``; and otherwise the deepest
+level the family needs, never a level below it.  The sampler budget is checked on the level the blocks fill;
 an estimator's ``depth`` decides nothing but must reach the family's level.
 
 Reads that share no column of the level vector are independent, so the read
@@ -57,8 +58,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from .group import GroupElement
 from .rng import RngStream
-from .sets import ActedSet, BorelSet, LinearReads, linear_reads
+from .sets import ActedSet, BorelSet, LinearReads, acted_set, linear_reads
 from .tree import (
     DepthMismatchError,
     LevelVector,
@@ -323,19 +325,28 @@ class JointTable:
 # ---------------------------------------------------------------------------
 
 
-def _innovation_copies(
+def _innovation_plan(
     events: Sequence[BorelSet], given: LevelVector | None
-) -> tuple[int, list[ActedSet]] | None:
-    """Level ``N`` and each event's :meth:`~whirly_lab.sets.ActedSet.innovation_copy`
-    at ``N``, when every event has one; ``N`` is the finest base or
-    conditioning level."""
+) -> tuple[int, dict[int, dict[ActedSet, list[int]]]] | None:
+    """Level ``N`` and, for each distinct bit ``k``, each innovation copy with
+    the rows of the events it stands for; ``None`` unless every event is in
+    innovation form (:func:`event_indicators`, point 1)."""
     if not all(isinstance(e, ActedSet) for e in events):
         return None
     level = max([e.base.level for e in events] + ([] if given is None else [given.level]))
-    copies = [e.innovation_copy(level) for e in events]
-    if any(c is None for c in copies):
-        return None
-    return level, copies
+    copies: dict[tuple[bytes, int], ActedSet] = {}
+    plan: dict[int, dict[ActedSet, list[int]]] = {}
+    for j, e in enumerate(events):
+        pattern = e.element.pattern
+        if e.element.level <= level or (
+            pattern.size > 2 and ((pattern[0::2] != pattern[0]).any() or (pattern[1::2] != pattern[1]).any())
+        ):
+            return None
+        key = (pattern[:2].tobytes(), id(e.base))
+        if key not in copies:
+            copies[key] = acted_set(GroupElement(level + 1, pattern[:2]), e.base)
+        plan.setdefault(e.element.level - 1, {}).setdefault(copies[key], []).append(j)
+    return level, plan
 
 
 class ReadFactor(NamedTuple):
@@ -393,14 +404,20 @@ def event_indicators(
     on the family and ``given`` alone, through the first path that applies:
 
     1. Innovation coordinates.  When every event is ``g . K`` with ``g`` at
-       level ``k + 1`` reading only its last bit and ``k >= N``, ``N`` the
-       finest base or conditioning level (whirling elements, identity
-       elements, any level-1 element), the sampler draws ``x_N``, then for
-       each distinct ``k`` in increasing order one fresh standard ``U`` of
-       shape ``(count, 2**N)``, shared by the events with that ``k``.  This
-       is the joint law of ``x_N`` and the aggregated innovations ``U_k``,
-       which are independent of ``x_N`` and of each other.  Only one ``U`` is
-       held at a time, and blocks are sized for level ``N + 1``.
+       level ``k + 1 > N``, ``N`` the finest base or conditioning level, and
+       a phase that reads only the last bit of its path (a pattern of one or
+       two phases, or a longer one whose even and odd entries are each
+       constant), a tree lies in ``g . K`` exactly when the level-``N + 1``
+       vector with children ``(x_N + U_k)/sqrt(2)`` and
+       ``(x_N - U_k)/sqrt(2)`` lies in the copy ``K`` acted on by the same two
+       phases at level ``N + 1``, where ``U_k`` are the level-``k``
+       innovations aggregated to level ``N``.  Events with the same phases
+       and base share one copy.  The sampler draws ``x_N``, then for each
+       distinct ``k`` in increasing order one fresh standard ``U`` of shape
+       ``(count, 2**N)``, and evaluates each copy of that ``k`` once on it.
+       This is the joint law of ``x_N`` and the ``U_k``, which are
+       independent of ``x_N`` and of each other.  Only one ``U`` is held at a
+       time, and blocks are sized for level ``N + 1``.
     2. Reads.  Without ``given``, the family's ``D`` distinct linear reads
        of its level-``L`` vector, ``L`` the deepest event level, come grouped
        by the level-``c`` subtree they read, ``c`` the coarsest leaf level
@@ -433,12 +450,9 @@ def event_indicators(
             return sample_levels(to, count, gen, out=block_buffer("levels", (count, 1 << to)))
         return conditional_levels(given.entries, given.level, to, count, gen)
 
-    plan = _innovation_copies(events, given)
+    plan = _innovation_plan(events, given)
     if plan is not None:
-        level, copies = plan
-        by_bit: dict[int, list[int]] = {}
-        for j, e in enumerate(events):
-            by_bit.setdefault(e.element.level - 1, []).append(j)
+        level, by_bit = plan
 
         def innovation_block(gen: np.random.Generator, count: int) -> np.ndarray:
             x = levels_to(level, gen, count)[level]
@@ -446,8 +460,8 @@ def event_indicators(
             for bit in sorted(by_bit):
                 u = standard_complex(gen, x.shape, out=block_buffer("innovation", x.shape))
                 w = refine(x, u)
-                for j in by_bit[bit]:
-                    out[j] = copies[j].indicator_at(w)
+                for copy, rows in by_bit[bit].items():
+                    out[rows] = copy.indicator_at(w)
             return out
 
         return default_block_size(level + 1), innovation_block

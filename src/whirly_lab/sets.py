@@ -293,28 +293,6 @@ class ActedSet(BorelSet):
     def _member(self, x: np.ndarray) -> np.ndarray:
         return self._eval_child(self.base, x * self._conj_phases)
 
-    def innovation_copy(self, level: int) -> "ActedSet | None":
-        """This event as a function of one level of innovations, or ``None``.
-
-        Applies when the base is determined at or above ``level`` and the
-        element lives at level ``k + 1 > level`` with a phase that depends
-        only on the last bit of its path.  The element then moves the
-        level-``level`` values ``x`` only through the level-``k`` innovations
-        aggregated to that level, ``U``, and a tree lies in this set exactly
-        when the level-``(level + 1)`` vector with children
-        ``(x + U)/sqrt(2)`` and ``(x - U)/sqrt(2)`` lies in the returned
-        copy, which acts with the same two phases at level ``level + 1``.
-        The test reads the element's pattern: one of one or two phases (an
-        identity or whirling element) passes as it is, and a longer one when
-        its even and its odd entries are each constant.
-        """
-        if self.element.level <= level or self.base.level > level:
-            return None
-        pattern = self.element.pattern
-        if pattern.size > 2 and ((pattern[0::2] != pattern[0]).any() or (pattern[1::2] != pattern[1]).any()):
-            return None
-        return acted_set(GroupElement(level + 1, pattern[:2]), self.base)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,

@@ -539,6 +539,86 @@ class TestInnovationPath:
         # A set that reads its whole level is drawn at that level.
         assert event_indicators([disk_product(3, 0j, 1.0)])[0] == default_block_size(3)
 
+    @staticmethod
+    def _copy(event):
+        """The one copy ``_innovation_plan`` gives a lone event, or ``None``."""
+        plan = montecarlo_module._innovation_plan([event], None)
+        if plan is None:
+            return None
+        (copies,) = plan[1].values()
+        (copy,) = copies
+        return copy
+
+    def test_innovation_plan_of_compact_elements(self):
+        # A whirl and an identity read their pattern; the copy holds that
+        # pattern at N + 1, and acts as the copy of the dense element.
+        d = disk_product(1, 0.3j, 1.2)
+        x = standard_complex(RngStream(72).generator(), (500, 4))
+        for g in (make_gsk(0.7, 4), identity(5)):
+            dense = self._copy(acted_set(GroupElement(g.level, g.phases), d))
+            copy = self._copy(acted_set(g, d))
+            assert copy.level == 2
+            np.testing.assert_array_equal(copy.element.pattern, g.pattern)
+            np.testing.assert_array_equal(copy.element.phases, dense.element.phases)
+            np.testing.assert_array_equal(copy.indicator_at(x), dense.indicator_at(x))
+
+    def test_innovation_plan_of_dense_elements(self):
+        # A dense element keeps the check on all of its phases: an alternating
+        # one plans the two-phase copy; a mixed pattern, or an element at or
+        # below N, plans none.
+        d = disk_product(1, 0j, 1.0)
+        w = np.exp(0.4j)
+        alternating = GroupElement(3, np.tile([w, np.conj(w)], 4))
+        copy = self._copy(acted_set(alternating, d))
+        expected = acted_set(GroupElement(2, np.tile(alternating.phases[:2], 2)), d)
+        np.testing.assert_array_equal(copy.element.phases, expected.element.phases)
+        x = standard_complex(RngStream(70).generator(), (500, 4))
+        np.testing.assert_array_equal(copy.indicator_at(x), expected.indicator_at(x))
+        mixed = GroupElement(3, np.tile([w, np.conj(w), 1.0, 1.0], 2))
+        assert self._copy(acted_set(mixed, d)) is None
+        assert self._copy(acted_set(make_gsk(0.5, 0), d)) is None
+        assert self._copy(acted_set(identity(0), d)) is None
+        # One event off the form sends the whole family elsewhere.
+        plan = montecarlo_module._innovation_plan([acted_set(alternating, d), acted_set(mixed, d)], None)
+        assert plan is None
+
+    def test_one_copy_per_pattern_and_base(self, monkeypatch):
+        disk = disk_product(0, 0j, 1.0)
+        events = [acted_set(make_gsk(0.5, k), disk) for k in range(12)]
+        built = []
+        init = GroupElement.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupElement, "__init__", counting_init)
+        level, plan = montecarlo_module._innovation_plan(events, None)
+        assert level == 0 and sorted(plan) == list(range(12))
+        assert len(built) == 1
+        copies = {copy for by_copy in plan.values() for copy in by_copy}
+        assert len(copies) == 1
+
+    def test_same_bit_events_evaluate_their_copy_once_per_block(self, monkeypatch):
+        # The independence control's shape: one element factory that ignores
+        # the bit, so three equal events on one disk.
+        disk = disk_product(1, 0.2 + 0j, 1.0)
+        events = [acted_set(make_gsk(0.5, 2), disk) for _ in range(3)]
+        block_size, block = event_indicators(events)
+        calls = []
+        indicator_at = type(events[0]).indicator_at
+
+        def counting_indicator_at(self, *args, **kwargs):
+            calls.append(self)
+            return indicator_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(events[0]), "indicator_at", counting_indicator_at)
+        out = block(RngStream(213).generator(), 200)
+        assert len(calls) == 1
+        assert out.shape == (3, 200)
+        assert (out == out[0]).all() and out[0].any()
+
+
 
 def _scrambled_family():
     """Two acted level-0 disks, one through a scrambling element, so the

@@ -34,6 +34,7 @@ from whirly_lab import (
     standard_complex,
     symmetric_difference,
 )
+from whirly_lab.montecarlo import _innovation_plan
 from whirly_lab.sets import _COLUMN_WIDTH, AffineImage, BorelSet
 
 
@@ -294,35 +295,6 @@ class TestActedSet:
         assert not w.indicator_at(outside)[0]
 
 
-    def test_innovation_copy_of_compact_elements(self):
-        # A whirl and an identity read their pattern; the copy holds that
-        # pattern at level + 1, and acts as the copy of the dense element.
-        d = disk_product(1, 0.3j, 1.2)
-        x = _draws(72, 500, 2)
-        for g in (make_gsk(0.7, 4), identity(5)):
-            dense = acted_set(GroupElement(g.level, g.phases), d).innovation_copy(1)
-            copy = acted_set(g, d).innovation_copy(1)
-            assert copy.level == 2
-            np.testing.assert_array_equal(copy.element.pattern, g.pattern)
-            np.testing.assert_array_equal(copy.element.phases, dense.element.phases)
-            np.testing.assert_array_equal(copy.indicator_at(x), dense.indicator_at(x))
-
-    def test_innovation_copy_of_dense_elements(self):
-        # A dense element keeps the check on all of its phases: an alternating
-        # one gives the two-phase copy, any other gives None.
-        d = disk_product(1, 0j, 1.0)
-        w = np.exp(0.4j)
-        alternating = GroupElement(3, np.tile([w, np.conj(w)], 4))
-        copy = acted_set(alternating, d).innovation_copy(1)
-        expected = acted_set(GroupElement(2, np.tile(alternating.phases[:2], 2)), d)
-        np.testing.assert_array_equal(copy.element.phases, expected.element.phases)
-        x = _draws(70, 500, 2)
-        np.testing.assert_array_equal(copy.indicator_at(x), expected.indicator_at(x))
-        mixed = GroupElement(3, np.tile([w, np.conj(w), 1.0, 1.0], 2))
-        assert acted_set(mixed, d).innovation_copy(1) is None
-        assert acted_set(make_gsk(0.5, 0), d).innovation_copy(1) is None
-        assert acted_set(make_gsk(0.5, 3), disk_product(2, 0j, 1.0)).innovation_copy(1) is None
-
 
 class TestIndicatorPlumbing:
     def test_deeper_input_is_projected_first(self):
@@ -398,8 +370,9 @@ class TestJson:
         # A dense alternating whirl read from JSON still gets its copy.
         w = np.exp(0.4j)
         stored = acted_set(GroupElement(3, np.tile([w, np.conj(w)], 4)), base).to_json()
-        copy = set_from_json(stored).innovation_copy(2)
-        assert copy is not None
+        _, plan = _innovation_plan([set_from_json(stored)], None)
+        (copies,) = plan.values()
+        (copy,) = copies
         np.testing.assert_array_equal(copy.element.pattern, [w, np.conj(w)])
 
     def test_deep_whirl_json_holds_two_phases(self):
@@ -408,8 +381,13 @@ class TestJson:
         assert len(written["element"]["phases"]) == 2
         clone = set_from_json(written)
         assert clone.to_json() == written
+        # Two base objects, so two copies of bit 39, one per event.
+        _, plan = _innovation_plan([clone, whirl], None)
+        (copies,) = plan.values()
+        (a, rows_a), (b, rows_b) = copies.items()
+        assert (rows_a, rows_b) == ([0], [1])
         x = _draws(73, 800, 1)
-        np.testing.assert_array_equal(clone.innovation_copy(0).indicator_at(x), whirl.innovation_copy(0).indicator_at(x))
+        np.testing.assert_array_equal(a.indicator_at(x), b.indicator_at(x))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
