@@ -64,7 +64,7 @@ class GroupElement:
         arr = np.array(phases, dtype=np.complex128).reshape(-1)
         if arr.size == 0 or arr.size & (arr.size - 1) or arr.size > 1 << level:
             raise ValueError(f"a level-{level} element holds 2**p <= {1 << level} phases, got {arr.size}")
-        if np.abs(np.abs(arr) - 1.0).max() > PHASE_TOL:
+        if not (np.abs(np.abs(arr) - 1.0) <= PHASE_TOL).all():
             raise ValueError("phases must have unit modulus")
         arr.setflags(write=False)
         self._level = int(level)
