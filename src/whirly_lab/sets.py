@@ -354,13 +354,15 @@ def halfspace(level: int, normal: CenterLike, offset: float) -> Halfspace:
     n = _coerce_centers(level, normal)
     if not np.any(n):
         raise ValueError("normal must be nonzero")
+    if math.isnan(offset):
+        raise ValueError("offset must not be NaN")
     return Halfspace(level, n, offset)
 
 
 def affine_image(base: BorelSet, scale: float, shift: CenterLike) -> AffineImage:
     """The set ``scale * base + shift`` at the base's determination level."""
-    if not scale > 0.0:
-        raise ValueError("scale must be strictly positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and strictly positive")
     s = _coerce_centers(base.level, shift)
     return AffineImage(base, scale, s)
 

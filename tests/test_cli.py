@@ -101,8 +101,10 @@ class TestSetSpecParsing:
             disk.replace("[[0.0, 0.0]]", "[[NaN, 0.0]]"),
             '{"kind": "halfspace", "level": 0, "normal": [[Infinity, 0.0]], "offset": 0.0}',
             '{"kind": "affine-image", "scale": 1.0, "shift": [[0.0, -Infinity]], "base": ' + disk + "}",
-            # A NaN phase.
+            # A NaN phase, a NaN offset and an infinite scale.
             '{"kind": "acted-image", "element": {"level": 1, "phases": [[NaN, 0], [1, 0]]}, "base": ' + disk + "}",
+            '{"kind": "halfspace", "level": 0, "normal": [[1.0, 0.0]], "offset": NaN}',
+            '{"kind": "affine-image", "scale": Infinity, "shift": [[0.0, 0.0]], "base": ' + disk + "}",
         ):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_set_spec(text)
