@@ -259,7 +259,7 @@ class TreeSample:
             parent = self._levels[n]
             rebuilt = _coarsen(self._levels[n + 1])
             bound = AVERAGING_REL_TOL * (1.0 + np.abs(parent))
-            if np.any(np.abs(parent - rebuilt) > bound):
+            if not np.all(np.abs(parent - rebuilt) <= bound):
                 raise ValueError(f"averaging constraint violated at level {n}")
 
     @classmethod

@@ -294,8 +294,8 @@ class TestInnovations:
         assert phi_roundtrip(tree) < 1e-10
 
     def test_nan_innovations_fail_the_roundtrip(self, monkeypatch):
-        # The root round-trips exactly, so only a fold that keeps NaN sees
-        # the NaN levels below it.
+        # The root round-trips exactly, so only the NaN levels below it show
+        # the fault: the rebuilt tree fails its averaging check.
         exact = tree_module.innovations
 
         def nan_innovations(tree):
@@ -303,7 +303,8 @@ class TestInnovations:
             return root, [u * math.nan for u in innov]
 
         monkeypatch.setattr(tree_module, "innovations", nan_innovations)
-        assert math.isnan(phi_roundtrip(sample_tree(3, RngStream(14))))
+        with pytest.raises(ValueError, match="averaging constraint violated"):
+            phi_roundtrip(sample_tree(3, RngStream(14)))
 
     def test_innovations_are_the_sibling_differences(self):
         tree = sample_tree(2, RngStream(15))
