@@ -295,7 +295,6 @@ class TestActedSet:
         assert not w.indicator_at(outside)[0]
 
 
-
 class TestIndicatorPlumbing:
     def test_deeper_input_is_projected_first(self):
         d = disk_product(0, 0j, 1.0)
