@@ -585,9 +585,8 @@ def positivity_scan(
     """Scan random level vectors ``z`` and estimate the measure of
     ``sqrt(1+a**2)*K + a*z`` for each.
 
-    Reports the fraction of scanned ``z`` whose Wilson interval is strictly
-    clear of zero (threshold 0.99), which are exactly the ``z`` with a hit,
-    plus the quantile structure of the translated measures: ``delta_at_f``
+    Reports the fraction of scanned ``z`` with at least one hit (threshold
+    0.99), plus the quantile structure of the translated measures: ``delta_at_f``
     is ``np.quantile(measures, 1 - f)``, interpolated linearly between order
     statistics, so slightly fewer than a fraction ``f`` of the ``z`` may
     reach it, and it may lie below the largest level that a fraction ``f``

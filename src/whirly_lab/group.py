@@ -42,7 +42,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .rng import RngStream, as_generator
 from .tree import DepthMismatchError, LevelMismatchError, TreeSample
 
 # Constructor tolerance on | |phase| - 1 |.
@@ -156,8 +155,7 @@ def act(g: GroupElement, tree: TreeSample) -> TreeSample:
     return TreeSample.from_leaves(tree.level(tree.depth) * leaf_phases)
 
 
-def random_element(level: int, rng: "RngStream | np.random.Generator") -> GroupElement:
+def random_element(level: int, gen: np.random.Generator) -> GroupElement:
     """Element with independent uniformly distributed phases."""
-    gen = as_generator(rng)
     angles = gen.uniform(0.0, 2.0 * math.pi, size=1 << level)
     return GroupElement(level, np.exp(1j * angles))

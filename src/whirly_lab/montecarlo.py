@@ -12,8 +12,10 @@ evaluated once per bit (``_innovation_plan`` alone decides which families
 qualify); other unconditional families through the exact joint law of their
 ``D`` stacked linear reads when ``D`` plus the off-diagonal entries of their
 per-group triangular factors stays below ``2**L``; and otherwise the deepest
-level the family needs, never a level below it.  The sampler budget is checked on the level the blocks fill;
-an estimator's ``depth`` decides nothing but must reach the family's level.
+level the family needs, never a level below it.
+
+The sampler budget is checked on the level the blocks fill.  An estimator's
+``depth`` decides nothing but must reach the family's level.
 
 Reads that share no column of the level vector are independent, so the read
 factor is block-diagonal over support groups and each group is factored on

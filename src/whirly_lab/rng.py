@@ -74,11 +74,3 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=spawn_key)
         return np.random.Generator(np.random.PCG64(seq))
 
-
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream or a bare generator; return a generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")

@@ -103,10 +103,6 @@ class BorelSet:
             )
         return self.indicator_at(levels[self._level])
 
-    def contains(self, z: LevelVector) -> bool:
-        """Membership of a single level vector (level >= the set's level)."""
-        return bool(self.indicator_at(z.entries[None, :], z.level)[0])
-
     def _eval_child(self, child: "BorelSet", x: np.ndarray) -> np.ndarray:
         """Evaluate a child node on vectors given at this node's level."""
         if child.level == self._level:

@@ -40,8 +40,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from scipy.special import chndtr
 
-from .rng import RngStream, as_generator
-
 SQRT2 = math.sqrt(2.0)
 
 # Constructor tolerance for the parent-equals-averaged-children constraint,
@@ -87,14 +85,6 @@ class DyadicPath:
         for b in self.bits:
             i = (i << 1) | b
         return i
-
-    @classmethod
-    def from_index(cls, length: int, index: int) -> "DyadicPath":
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if not 0 <= index < (1 << length):
-            raise ValueError(f"index {index} out of range for length {length}")
-        return cls(tuple((index >> (length - 1 - j)) & 1 for j in range(length)))
 
     def child(self, bit: int) -> "DyadicPath":
         if bit not in (0, 1):
@@ -359,7 +349,7 @@ def _levels_from_leaves(leaves: np.ndarray) -> list[np.ndarray]:
 def sample_levels(
     depth: int,
     count: int,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Vectorized sampler: ``count`` independent realizations to ``depth``.
@@ -372,16 +362,16 @@ def sample_levels(
     of the root-first recursion.  Both draw ``2**depth`` values per
     realization; leaf-first draws them in one call and computes one value
     per parent node, where :func:`refine` computes and interleaves two per
-    child pair.  Results are reproducible for a given stream.  With ``out``
-    the leaves are drawn into it (see :func:`standard_complex`), and the
-    returned level ``depth`` is ``out``.
+    child pair.  Results are reproducible for a given generator state.  With
+    ``out`` the leaves are drawn into it (see :func:`standard_complex`), and
+    the returned level ``depth`` is ``out``.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if count <= 0:
         raise ValueError("count must be positive")
     check_sampler_budget(depth, count)
-    return _levels_from_leaves(standard_complex(as_generator(rng), (count, 1 << depth), out))
+    return _levels_from_leaves(standard_complex(gen, (count, 1 << depth), out))
 
 
 def conditional_levels(
@@ -389,7 +379,7 @@ def conditional_levels(
     level: int,
     depth: int,
     count: int,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
 ) -> list[np.ndarray]:
     """Vectorized conditional sampler: realizations whose level-``level``
     restriction equals ``entries`` exactly.
@@ -403,7 +393,6 @@ def conditional_levels(
     if count <= 0:
         raise ValueError("count must be positive")
     check_sampler_budget(depth, count)
-    gen = as_generator(rng)
     pinned = np.asarray(entries, dtype=np.complex128).reshape(1, -1)
     if pinned.size != 1 << level:
         raise ValueError(f"level {level} requires {1 << level} entries")
@@ -415,16 +404,9 @@ def conditional_levels(
     return levels
 
 
-def sample_tree(depth: int, rng: "RngStream | np.random.Generator") -> TreeSample:
+def sample_tree(depth: int, gen: np.random.Generator) -> TreeSample:
     """Draw one realization of the process down to ``depth``."""
-    return TreeSample([a[0] for a in sample_levels(depth, 1, rng)])
-
-
-def sample_conditional(
-    z: LevelVector, depth: int, rng: "RngStream | np.random.Generator"
-) -> TreeSample:
-    """Draw one realization conditioned to pass through ``z`` at its level."""
-    return TreeSample([a[0] for a in conditional_levels(z.entries, z.level, depth, 1, rng)])
+    return TreeSample([a[0] for a in sample_levels(depth, 1, gen)])
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +477,6 @@ def u_stat_vector(tree: TreeSample, n: int, k: int) -> np.ndarray:
     if k + 1 > tree.depth:
         raise DepthMismatchError(f"u_stat at level {k} needs depth >= {k + 1}, have {tree.depth}")
     return u_stat_arrays([a[None, :] for a in tree.levels], n, k)[0]
-
-
-def u_stat(tree: TreeSample, sigma: PathLike, k: int) -> complex:
-    """Aggregated innovation ``2**(-(k-n)/2) * sum`` over the level-``k``
-    innovations below path ``sigma`` of length n.  For ``k == n`` this is the
-    node's own innovation, ``(child0 - child1)/sqrt(2)``.
-    """
-    p = as_path(sigma)
-    if p.length > k:
-        raise ValueError(f"path length {p.length} exceeds innovation level {k}")
-    return complex(u_stat_vector(tree, p.length, k)[p.index])
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ class TestAction:
             np.testing.assert_allclose(a.level(n), b.level(n), atol=1e-12)
 
     def test_action_needs_enough_depth(self):
-        tree = sample_tree(1, RngStream(36))
+        tree = sample_tree(1, RngStream(36).generator())
         with pytest.raises(DepthMismatchError):
             act(random_element(3, RngStream(36).generator()), tree)
 

@@ -24,7 +24,6 @@ from whirly_lab import (
     LevelVector,
     RngStream,
     acted_set,
-    as_generator,
     affine_image,
     boolean_combine,
     compose,
@@ -83,13 +82,6 @@ class TestRngStream:
             RngStream(1).child(63)
         with pytest.raises(ValueError):
             RngStream(1).child(-1)
-
-    def test_as_generator_accepts_both(self):
-        assert isinstance(as_generator(RngStream(2)), np.random.Generator)
-        gen = RngStream(2).generator()
-        assert as_generator(gen) is gen
-        with pytest.raises(TypeError):
-            as_generator(42)
 
 
 class TestTallyBlocks:

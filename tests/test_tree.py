@@ -27,12 +27,10 @@ from whirly_lab import (
     phi_roundtrip,
     project,
     project_vectors,
-    sample_conditional,
     sample_levels,
     sample_tree,
     standard_complex,
     tree_from_innovations,
-    u_stat,
     u_stat_arrays,
     u_stat_vector,
 )
@@ -48,15 +46,15 @@ class TestDyadicPath:
         assert DyadicPath((1, 1)).index == 3
 
     def test_children_sit_at_doubled_indices(self):
-        parent = DyadicPath.from_index(3, 5)
+        parent = as_path("101")
         assert parent.child(0).index == 10
         assert parent.child(1).index == 11
 
     @given(st.integers(min_value=0, max_value=12), st.data())
     @settings(deadline=None, derandomize=True, max_examples=40)
-    def test_from_index_roundtrip(self, length, data):
+    def test_index_reads_the_bits_in_binary(self, length, data):
         index = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-        path = DyadicPath.from_index(length, index)
+        path = as_path([(index >> j) & 1 for j in reversed(range(length))])
         assert path.length == length
         assert path.index == index
 
@@ -71,19 +69,15 @@ class TestDyadicPath:
         with pytest.raises(ValueError):
             as_path("01x")
 
-    def test_from_index_range_checked(self):
-        with pytest.raises(ValueError):
-            DyadicPath.from_index(2, 4)
-
 
 class TestSampling:
     def test_levels_have_dyadic_widths(self):
-        levels = sample_levels(4, 7, RngStream(3))
+        levels = sample_levels(4, 7, RngStream(3).generator())
         assert [a.shape for a in levels] == [(7, 1 << n) for n in range(5)]
 
     def test_same_stream_reproduces_draws(self):
-        a = sample_levels(3, 5, RngStream(9, 2))
-        b = sample_levels(3, 5, RngStream(9, 2))
+        a = sample_levels(3, 5, RngStream(9, 2).generator())
+        b = sample_levels(3, 5, RngStream(9, 2).generator())
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -122,9 +116,9 @@ class TestSampling:
 
     def test_sample_levels_draws_its_leaves_into_out(self):
         out = np.empty((5, 8), dtype=np.complex128)
-        levels = sample_levels(3, 5, RngStream(35), out)
+        levels = sample_levels(3, 5, RngStream(35).generator(), out)
         assert levels[3] is out
-        for x, y in zip(levels, sample_levels(3, 5, RngStream(35))):
+        for x, y in zip(levels, sample_levels(3, 5, RngStream(35).generator())):
             np.testing.assert_array_equal(x, y)
 
     def test_oversized_requests_are_refused_before_any_draw(self, monkeypatch):
@@ -133,19 +127,19 @@ class TestSampling:
 
         monkeypatch.setattr(tree_module, "standard_complex", no_draw)
         with pytest.raises(ValueError, match="budget"):
-            sample_levels(30, 64, RngStream(1))
+            sample_levels(30, 64, RngStream(1).generator())
         with pytest.raises(ValueError, match="budget"):
-            conditional_levels(np.zeros(1), 0, 30, 64, RngStream(1))
+            conditional_levels(np.zeros(1), 0, 30, 64, RngStream(1).generator())
         with pytest.raises(ValueError, match="budget"):
-            sample_tree(26, RngStream(1))
+            sample_tree(26, RngStream(1).generator())
 
     def test_distinct_streams_decorrelate(self):
-        a = sample_levels(0, 100, RngStream(9, 0))[0]
-        b = sample_levels(0, 100, RngStream(9, 1))[0]
+        a = sample_levels(0, 100, RngStream(9, 0).generator())[0]
+        b = sample_levels(0, 100, RngStream(9, 1).generator())[0]
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_averaging_constraint_holds_by_construction(self):
-        tree = sample_tree(6, RngStream(4))
+        tree = sample_tree(6, RngStream(4).generator())
         for n in range(6):
             parent = tree.level(n)
             child = tree.level(n + 1)
@@ -153,7 +147,7 @@ class TestSampling:
             np.testing.assert_allclose(recon, parent, atol=1e-12)
 
     def test_perturbed_leaf_is_rejected(self):
-        tree = sample_tree(3, RngStream(5))
+        tree = sample_tree(3, RngStream(5).generator())
         levels = [lvl.copy() for lvl in tree.levels]
         levels[3][5] += 0.01
         with pytest.raises(ValueError, match="averaging"):
@@ -164,7 +158,7 @@ class TestSampling:
             TreeSample.from_leaves(np.ones(3, dtype=complex))
 
     def test_from_leaves_rebuilds_upper_levels(self):
-        tree = sample_tree(4, RngStream(6))
+        tree = sample_tree(4, RngStream(6).generator())
         rebuilt = TreeSample.from_leaves(tree.level(4))
         for n in range(5):
             np.testing.assert_allclose(rebuilt.level(n), tree.level(n), atol=1e-12)
@@ -245,7 +239,7 @@ class TestProjection:
             project_vectors(x, 1, 2)
         with pytest.raises(LevelMismatchError):
             project_vectors(np.ones((2, 6), dtype=complex), 3, 1)
-        tree = sample_tree(2, RngStream(8))
+        tree = sample_tree(2, RngStream(8).generator())
         with pytest.raises(DepthMismatchError):
             project(tree, 3)
 
@@ -258,7 +252,7 @@ class TestProjection:
 
 class TestInnovations:
     def test_u_stat_matches_hand_fold(self):
-        tree = sample_tree(3, RngStream(10))
+        tree = sample_tree(3, RngStream(10).generator())
         child = tree.level(3)
         base = (child[0::2] - child[1::2]) / SQRT2
         np.testing.assert_allclose(u_stat_vector(tree, 2, 2), base, atol=1e-12)
@@ -266,7 +260,7 @@ class TestInnovations:
         np.testing.assert_allclose(u_stat_vector(tree, 1, 2), folded, atol=1e-12)
 
     def test_u_stat_recursion_over_subtrees(self):
-        tree = sample_tree(4, RngStream(11))
+        tree = sample_tree(4, RngStream(11).generator())
         for k in (1, 2, 3):
             for n in range(k):
                 parent = u_stat_vector(tree, n, k)
@@ -275,18 +269,20 @@ class TestInnovations:
                 np.testing.assert_allclose(recon, parent, atol=1e-12)
 
     def test_u_stat_by_path(self):
-        tree = sample_tree(3, RngStream(12))
-        assert u_stat(tree, "01", 2) == pytest.approx(u_stat_vector(tree, 2, 2)[1])
+        tree = sample_tree(3, RngStream(12).generator())
+        child = tree.level(3)
+        sigma = as_path("01")
+        assert u_stat_vector(tree, sigma.length, 2)[sigma.index] == pytest.approx((child[2] - child[3]) / SQRT2)
         with pytest.raises(ValueError):
-            u_stat(tree, "011", 2)
+            u_stat_vector(tree, as_path("011").length, 2)
 
     def test_u_stat_needs_one_level_below_k(self):
-        tree = sample_tree(2, RngStream(13))
+        tree = sample_tree(2, RngStream(13).generator())
         with pytest.raises(DepthMismatchError):
             u_stat_vector(tree, 0, 2)
 
     def test_innovation_bijection_roundtrips(self):
-        tree = sample_tree(5, RngStream(14))
+        tree = sample_tree(5, RngStream(14).generator())
         root, innov = innovations(tree)
         rebuilt = tree_from_innovations(root, innov)
         for n in range(6):
@@ -304,10 +300,10 @@ class TestInnovations:
 
         monkeypatch.setattr(tree_module, "innovations", nan_innovations)
         with pytest.raises(ValueError, match="averaging constraint violated"):
-            phi_roundtrip(sample_tree(3, RngStream(14)))
+            phi_roundtrip(sample_tree(3, RngStream(14).generator()))
 
     def test_innovations_are_the_sibling_differences(self):
-        tree = sample_tree(2, RngStream(15))
+        tree = sample_tree(2, RngStream(15).generator())
         _, innov = innovations(tree)
         child = tree.level(1)
         assert innov[0][0] == pytest.approx((child[0] - child[1]) / SQRT2)
@@ -316,19 +312,19 @@ class TestInnovations:
 class TestConditional:
     def test_conditioning_level_is_pinned_exactly(self):
         z = LevelVector(2, standard_complex(RngStream(16).generator(), (4,)))
-        levels = conditional_levels(z.entries, 2, 4, 50, RngStream(17))
+        levels = conditional_levels(z.entries, 2, 4, 50, RngStream(17).generator())
         np.testing.assert_array_equal(levels[2], np.tile(z.entries, (50, 1)))
 
     def test_upper_levels_follow_by_averaging(self):
         z = LevelVector(2, standard_complex(RngStream(18).generator(), (4,)))
-        tree = sample_conditional(z, 3, RngStream(19))
+        tree = TreeSample([a[0] for a in conditional_levels(z.entries, z.level, 3, 1, RngStream(19).generator())])
         np.testing.assert_allclose(
             tree.level(1), project_vectors(z.entries[None, :], 2, 1)[0], atol=1e-12
         )
 
     def test_fresh_innovations_below_are_standard(self):
         z = LevelVector(1, np.array([5.0 + 0j, -5.0 + 0j]))
-        levels = conditional_levels(z.entries, 1, 2, 40_000, RngStream(20))
+        levels = conditional_levels(z.entries, 1, 2, 40_000, RngStream(20).generator())
         innov = (levels[2][:, 0::2] - levels[2][:, 1::2]) / SQRT2
         assert np.abs(innov.mean(axis=0)).max() < 4.0 * math.sqrt(2.0 / 40_000)
         second = (np.abs(innov) ** 2).mean(axis=0)
@@ -338,7 +334,7 @@ class TestConditional:
 class TestMarginals:
     def test_level_values_are_standard_complex(self):
         count = 60_000
-        levels = sample_levels(4, count, RngStream(21))
+        levels = sample_levels(4, count, RngStream(21).generator())
         x = levels[4]
         assert np.abs(x.mean(axis=0)).max() < 4.0 * math.sqrt(2.0 / count)
         second = (np.abs(x) ** 2).mean(axis=0)
@@ -346,7 +342,7 @@ class TestMarginals:
 
     def test_aggregated_innovations_are_standard(self):
         count = 60_000
-        levels = sample_levels(4, count, RngStream(22))
+        levels = sample_levels(4, count, RngStream(22).generator())
         u = u_stat_arrays(levels, 1, 3)
         assert np.abs(u.mean(axis=0)).max() < 4.0 * math.sqrt(2.0 / count)
         second = (np.abs(u) ** 2).mean(axis=0)
@@ -390,7 +386,7 @@ class TestLeafFirstSampler:
     COUNT = 8000
 
     def test_agrees_in_law_with_the_root_first_recursion(self):
-        leaf_first = _law_statistics(sample_levels(self.DEPTH, self.COUNT, RngStream(31)), self.DEPTH)
+        leaf_first = _law_statistics(sample_levels(self.DEPTH, self.COUNT, RngStream(31).generator()), self.DEPTH)
         root_first = _law_statistics(_root_first_levels(self.DEPTH, self.COUNT, 32), self.DEPTH)
         # Every statistic is a mean of count terms of variance 4 (a squared
         # modulus, or the product of two independent standard values).
@@ -404,13 +400,13 @@ class TestLeafFirstSampler:
                 assert np.max(np.abs(value - expected)) < 4.5 * math.sqrt(4.0 / self.COUNT), key
 
     def test_averaging_constraint_holds_exactly(self):
-        levels = sample_levels(5, 300, RngStream(33))
+        levels = sample_levels(5, 300, RngStream(33).generator())
         for n in range(5):
             child = levels[n + 1]
             np.testing.assert_array_equal(levels[n], (child[:, 0::2] + child[:, 1::2]) / SQRT2)
 
     def test_draws_only_the_deepest_level(self):
-        levels = sample_levels(3, 5, RngStream(34))
+        levels = sample_levels(3, 5, RngStream(34).generator())
         np.testing.assert_array_equal(levels[3], standard_complex(RngStream(34).generator(), (5, 8)))
 
 
