@@ -532,15 +532,22 @@ def linear_reads(events: Sequence[BorelSet], max_reads: int) -> LinearReads | No
 # ---------------------------------------------------------------------------
 
 
+def _json_level(value) -> int:
+    """A level as written in a set file: a JSON integer, never a float or a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"level must be an integer, got {value!r}")
+    return value
+
+
 def set_from_json(obj: dict) -> BorelSet:
     """Rebuild a set from its JSON expression tree."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("set description must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "disk-product":
-        return disk_product(int(obj["level"]), _pairs_to_complex(obj["centers"]), obj["radii"])
+        return disk_product(_json_level(obj["level"]), _pairs_to_complex(obj["centers"]), obj["radii"])
     if kind == "halfspace":
-        return halfspace(int(obj["level"]), _pairs_to_complex(obj["normal"]), float(obj["offset"]))
+        return halfspace(_json_level(obj["level"]), _pairs_to_complex(obj["normal"]), float(obj["offset"]))
     if kind == "affine-image":
         return affine_image(
             set_from_json(obj["base"]), float(obj["scale"]), _pairs_to_complex(obj["shift"])
@@ -551,7 +558,7 @@ def set_from_json(obj: dict) -> BorelSet:
         return boolean_combine("complement", [set_from_json(obj["child"])])
     if kind == "acted-image":
         element = GroupElement(
-            int(obj["element"]["level"]), _pairs_to_complex(obj["element"]["phases"])
+            _json_level(obj["element"]["level"]), _pairs_to_complex(obj["element"]["phases"])
         )
         return acted_set(element, set_from_json(obj["base"]))
     raise ValueError(f"unknown set kind {kind!r}")

@@ -105,6 +105,10 @@ class TestSetSpecParsing:
             '{"kind": "acted-image", "element": {"level": 1, "phases": [[NaN, 0], [1, 0]]}, "base": ' + disk + "}",
             '{"kind": "halfspace", "level": 0, "normal": [[1.0, 0.0]], "offset": NaN}',
             '{"kind": "affine-image", "scale": Infinity, "shift": [[0.0, 0.0]], "base": ' + disk + "}",
+            # Levels that are not JSON integers.
+            disk.replace('"level": 0', '"level": 1.7'),
+            disk.replace('"level": 0', '"level": true'),
+            '{"kind": "acted-image", "element": {"level": 2.9, "phases": [[1, 0]]}, "base": ' + disk + "}",
         ):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_set_spec(text)
