@@ -115,6 +115,22 @@ class TestSetSpecParsing:
         # An infinite radius is allowed: that factor is the whole plane.
         assert parse_set_spec("disk:level0:rinf").radii[0] == math.inf
 
+    def test_deeply_nested_set_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        disk = '{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}'
+        spec = tmp_path / "deep.json"
+        spec.write_text('{"kind": "complement", "child": ' * 5000 + disk + "}" * 5000)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--set", str(spec), "--samples", "1000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        # Decoded, the same nesting overflows set_from_json instead.
+        deep = json.loads(disk)
+        for _ in range(5000):
+            deep = {"kind": "complement", "child": deep}
+        monkeypatch.setattr(json, "loads", lambda text: deep)
+        with pytest.raises(argparse.ArgumentTypeError, match="recursion"):
+            parse_set_spec("{}")
+
 
 class TestSampleCommand:
     def test_json_output_is_deterministic(self, capsys):
