@@ -1,0 +1,34 @@
+"""The package's public surface: its exports and the names the benchmark binds."""
+
+import importlib.util
+from pathlib import Path
+
+import whirly_lab
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def test_every_export_resolves():
+    missing = [name for name in whirly_lab.__all__ if not hasattr(whirly_lab, name)]
+    assert missing == []
+    assert len(set(whirly_lab.__all__)) == len(whirly_lab.__all__)
+    namespace: dict = {}
+    exec("from whirly_lab import *", namespace)
+    assert set(whirly_lab.__all__) <= set(namespace)
+
+
+def test_benchmark_tracer_reaches_every_binding():
+    # The benchmark's tracer looks up functions and methods by name, so a
+    # deleted name (RngStream.substream, BorelSet.indicator_at, ...) breaks
+    # it; the benchmark's own tests sit outside this suite.
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = whirly_lab.tree.sample_levels
+    tr = tracing.Tracer()
+    try:
+        tr.install()
+        assert tr.unwrapped_bindings() == []
+    finally:
+        tr.uninstall()
+    assert whirly_lab.tree.sample_levels is original
