@@ -81,7 +81,7 @@ def parse_set_spec(text: str) -> BorelSet:
     if text.startswith("{"):
         try:
             return set_from_json(json.loads(text))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"bad inline set JSON: {exc}")
     if text.startswith("disk:"):
         parts = text.split(":")
@@ -105,7 +105,7 @@ def parse_set_spec(text: str) -> BorelSet:
             return set_from_json(json.load(handle))
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read set file {text!r}: {exc}")
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (json.JSONDecodeError, ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad set file {text!r}: {exc}")
 
 

@@ -61,8 +61,9 @@ class GroupElement:
         if level < 0:
             raise ValueError("level must be non-negative")
         arr = np.array(phases, dtype=np.complex128).reshape(-1)
-        if arr.size == 0 or arr.size & (arr.size - 1) or arr.size > 1 << level:
-            raise ValueError(f"a level-{level} element holds 2**p <= {1 << level} phases, got {arr.size}")
+        # p is compared with the level: 2**level may be too large to build.
+        if arr.size == 0 or arr.size & (arr.size - 1) or arr.size.bit_length() - 1 > level:
+            raise ValueError(f"a level-{level} element holds 2**p phases, p <= {level}, got {arr.size}")
         if not (np.abs(np.abs(arr) - 1.0) <= PHASE_TOL).all():
             raise ValueError("phases must have unit modulus")
         arr.setflags(write=False)

@@ -49,13 +49,14 @@ draws land, never their values.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -101,10 +102,11 @@ def default_block_size(depth: int) -> int:
     return size
 
 
-def block_plan(samples: int, block_size: int) -> list[tuple[int, int]]:
-    """``(index, count)`` of each block that splits ``samples`` into blocks."""
+def block_plan(samples: int, block_size: int) -> Iterator[tuple[int, int]]:
+    """``(index, count)`` of each block that splits ``samples`` into blocks,
+    in index order, yielded one at a time."""
     blocks = (samples + block_size - 1) // block_size
-    return [(i, min(block_size, samples - i * block_size)) for i in range(blocks)]
+    return ((i, min(block_size, samples - i * block_size)) for i in range(blocks))
 
 
 # The arena of the tally worker running on this thread, or None outside a
@@ -153,7 +155,8 @@ def tally_blocks(
     by index and block ``i`` uses ``rng.block(i)``, and the block results are
     summed in plan order, so the total is independent of ``workers``, for
     float and complex tallies too.  Results go into a running total as they
-    come, and at most ``2 * workers`` are held at once, however many blocks.
+    come, and at most ``2 * workers`` are held at once, however many blocks;
+    the plan itself is taken one block at a time.
     A ``workers`` below 1 is refused with a ``ValueError`` before any draw.
 
     Each worker, the calling thread when ``workers == 1`` and each pool
@@ -185,10 +188,11 @@ def tally_blocks(
         return _sum_in_order(_bounded_map(pool, run, plan, 2 * workers))
 
 
-def _bounded_map(pool: ThreadPoolExecutor, fn: Callable, items: list, window: int):
-    """``pool.map(fn, items)`` that holds at most ``window`` results not yet taken."""
-    pending = deque(pool.submit(fn, item) for item in items[:window])
-    for item in items[window:]:
+def _bounded_map(pool: ThreadPoolExecutor, fn: Callable, items: Iterator, window: int):
+    """``pool.map(fn, items)`` that holds at most ``window`` results not yet
+    taken and takes ``items`` only as it submits them."""
+    pending = deque(pool.submit(fn, item) for item in itertools.islice(items, window))
+    for item in items:
         yield pending.popleft().result()
         pending.append(pool.submit(fn, item))
     while pending:
@@ -301,17 +305,6 @@ class JointTable:
             raise ValueError(f"event index {j} out of range")
         idx = np.arange(1 << self.n_events)
         return float(self.probs[(idx >> j) & 1 == 1].sum())
-
-    def cell(self, outcome: Sequence[int]) -> float:
-        """Estimated probability of one exact on/off pattern."""
-        if len(outcome) != self.n_events:
-            raise ValueError("outcome length must equal the number of events")
-        code = 0
-        for j, bit in enumerate(outcome):
-            if bit not in (0, 1):
-                raise ValueError("outcome bits must be 0 or 1")
-            code |= bit << j
-        return float(self.probs[code])
 
     def json_dict(self) -> dict:
         return {
@@ -469,9 +462,10 @@ def event_indicators(
         return default_block_size(level + 1), innovation_block
 
     level = max([e.level for e in events] + ([] if given is None else [given.level]))
-    max_reads = min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
     # From level 21 on no read fits, and the walk would first allocate
-    # several level-``level`` arrays only to give up at the first leaf.
+    # several level-``level`` arrays only to give up at the first leaf.  The
+    # entry budget is shifted first, so such a level never builds 2**level.
+    max_reads = _MAX_READ_ENTRIES >> level and min((1 << level) - 1, _MAX_READ_ENTRIES >> level)
     reads = linear_reads(events, max_reads) if given is None and max_reads > 0 else None
     factor = None if reads is None else ReadFactor.of(reads, 1 << level)
     if factor is not None:

@@ -77,22 +77,14 @@ class BorelSet:
         """Membership for a batch of vectors at exactly this set's level."""
         raise NotImplementedError
 
-    def indicator_at(self, x: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Boolean membership for a batch ``(batch, 2**level)`` of vectors.
-
-        ``level`` defaults to the set's own level; deeper inputs are projected
-        down first.
-        """
+    def indicator_at(self, x: np.ndarray) -> np.ndarray:
+        """Boolean membership for a batch ``(batch, 2**level)`` of vectors at
+        this set's level; a deeper row is projected by the caller first."""
         arr = np.asarray(x, dtype=np.complex128)
         if arr.ndim == 1:
             arr = arr[None, :]
-        at = self._level if level is None else int(level)
-        if arr.shape[1] != 1 << at:
-            raise LevelMismatchError(f"expected {1 << at} columns for level {at}, got {arr.shape[1]}")
-        if at < self._level:
-            raise DepthMismatchError(f"set is determined at level {self._level}, input is at {at}")
-        if at > self._level:
-            arr = project_vectors(arr, at, self._level)
+        if arr.shape[1] != 1 << self._level:
+            raise LevelMismatchError(f"expected {1 << self._level} columns for level {self._level}, got {arr.shape[1]}")
         return self._member(arr)
 
     def indicator(self, levels: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,10 +112,6 @@ class BorelSet:
 
 def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in arr]
-
-
-def _pairs_to_complex(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +527,33 @@ def _json_level(value) -> int:
     return value
 
 
+def _json_number(value) -> float:
+    """A number as written in a set file: a JSON number, never a string or a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _pairs_to_complex(pairs) -> np.ndarray:
+    """Complex numbers written as ``[re, im]`` pairs of exactly two JSON numbers."""
+    if any(not isinstance(p, list) or len(p) != 2 for p in pairs):
+        raise ValueError("a complex number must be an [re, im] pair of numbers")
+    return np.array([complex(_json_number(re), _json_number(im)) for re, im in pairs], dtype=np.complex128)
+
+
 def set_from_json(obj: dict) -> BorelSet:
     """Rebuild a set from its JSON expression tree."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("set description must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "disk-product":
-        return disk_product(_json_level(obj["level"]), _pairs_to_complex(obj["centers"]), obj["radii"])
+        radii = [_json_number(r) for r in (obj["radii"] if isinstance(obj["radii"], list) else [obj["radii"]])]
+        return disk_product(_json_level(obj["level"]), _pairs_to_complex(obj["centers"]), radii)
     if kind == "halfspace":
-        return halfspace(_json_level(obj["level"]), _pairs_to_complex(obj["normal"]), float(obj["offset"]))
+        return halfspace(_json_level(obj["level"]), _pairs_to_complex(obj["normal"]), _json_number(obj["offset"]))
     if kind == "affine-image":
         return affine_image(
-            set_from_json(obj["base"]), float(obj["scale"]), _pairs_to_complex(obj["shift"])
+            set_from_json(obj["base"]), _json_number(obj["scale"]), _pairs_to_complex(obj["shift"])
         )
     if kind in ("union", "intersection"):
         return boolean_combine(kind, [set_from_json(c) for c in obj["children"]])

@@ -34,8 +34,7 @@ so extending a path by one bit maps index ``i`` to ``2*i`` or ``2*i + 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import chndtr
@@ -53,63 +52,6 @@ class DepthMismatchError(ValueError):
 
 class LevelMismatchError(ValueError):
     """Two level-indexed objects were combined at incompatible levels."""
-
-
-# ---------------------------------------------------------------------------
-# paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class DyadicPath:
-    """Finite binary string addressing a tree node.
-
-    Paths of equal length sort lexicographically, matching the storage order
-    of level vectors.
-    """
-
-    bits: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("path bits must be 0 or 1")
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        """Position of this path within its level, in path order."""
-        i = 0
-        for b in self.bits:
-            i = (i << 1) | b
-        return i
-
-    def child(self, bit: int) -> "DyadicPath":
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        return DyadicPath(self.bits + (bit,))
-
-    def prefix(self, length: int) -> "DyadicPath":
-        if not 0 <= length <= self.length:
-            raise ValueError("prefix length out of range")
-        return DyadicPath(self.bits[:length])
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits) if self.bits else "<root>"
-
-
-PathLike = Union[DyadicPath, str, Sequence[int]]
-
-
-def as_path(path: PathLike) -> DyadicPath:
-    """Coerce a path given as a DyadicPath, bit string like ``"010"``, or bit sequence."""
-    if isinstance(path, DyadicPath):
-        return path
-    if isinstance(path, str):
-        return DyadicPath(tuple(int(c) for c in path))
-    return DyadicPath(tuple(int(b) for b in path))
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +103,21 @@ def standard_complex(
 ) -> np.ndarray:
     """Draw standard complex Gaussians of the given shape.
 
-    Each value takes two consecutive normals, real part first, read in place
-    as one complex128.  With ``out``, a C-contiguous complex128 array of
-    ``shape``, the normals fill its float64 view in the same order, so the
-    values equal those of a fresh draw from the same generator state; ``out``
-    is returned.
+    Each value takes two consecutive normals, real part first: the normals
+    fill the float64 view of a C-contiguous complex128 array of ``shape``,
+    ``out`` when it is given and a fresh array otherwise, and that array is
+    returned.  So a draw into ``out`` equals a fresh draw from the same
+    generator state.
     """
     shape = tuple(shape)
     if out is None:
-        return gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
-    if out.dtype != np.complex128 or out.shape != shape or not out.flags.c_contiguous:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.dtype != np.complex128 or out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(
             f"out must be a C-contiguous complex128 array of shape {shape}, "
             f"got {out.dtype} {out.shape}"
         )
-    gen.standard_normal(out=out.view(np.float64))
+    gen.standard_normal(out=out.reshape(-1).view(np.float64))
     return out
 
 
@@ -206,15 +148,6 @@ class LevelVector:
     @property
     def entries(self) -> np.ndarray:
         return self._entries
-
-    def value(self, path: PathLike) -> complex:
-        p = as_path(path)
-        if p.length != self._level:
-            raise LevelMismatchError(f"path has length {p.length}, vector lives at level {self._level}")
-        return complex(self._entries[p.index])
-
-    def __len__(self) -> int:
-        return self._entries.size
 
     def __repr__(self) -> str:
         return f"LevelVector(level={self._level}, entries={self._entries!r})"
@@ -273,10 +206,6 @@ class TreeSample:
             raise DepthMismatchError(f"level {n} not available in a depth-{self.depth} tree")
         return self._levels[n]
 
-    def value(self, path: PathLike) -> complex:
-        p = as_path(path)
-        return complex(self.level(p.length)[p.index])
-
     def __repr__(self) -> str:
         return f"TreeSample(depth={self.depth})"
 
@@ -297,11 +226,14 @@ MAX_SAMPLER_VALUES = 1 << 26
 def check_sampler_budget(depth: int, count: int) -> None:
     """Refuse, before any draw, ``count`` realizations to ``depth`` whose
     levels would hold more than :data:`MAX_SAMPLER_VALUES` complex values."""
-    values = count * ((2 << depth) - 1)
+    # One realization to depth 26 already holds 2**27 - 1 values, so the
+    # shift stops there: a depth read from outside never builds 2**depth.
+    cap = MAX_SAMPLER_VALUES.bit_length() - 1
+    values = count * ((2 << min(depth, cap)) - 1)
     if values > MAX_SAMPLER_VALUES:
         raise ValueError(
-            f"{count} realizations to depth {depth} hold {values} complex values, "
-            f"above the sampler budget of {MAX_SAMPLER_VALUES}"
+            f"{count} realizations to depth {depth} hold {'over ' if depth > cap else ''}"
+            f"{values} complex values, above the sampler budget of {MAX_SAMPLER_VALUES}"
         )
 
 

@@ -27,6 +27,9 @@ _UNION_SPEC = json.dumps(
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 
+# A level or depth from the command line far too deep to shift by.
+ABSURD = 100_000_000_000
+
 
 def _leaves(value, path=""):
     """Flatten parsed JSON to ``{dotted path: leaf}``."""
@@ -109,11 +112,25 @@ class TestSetSpecParsing:
             disk.replace('"level": 0', '"level": 1.7'),
             disk.replace('"level": 0', '"level": true'),
             '{"kind": "acted-image", "element": {"level": 2.9, "phases": [[1, 0]]}, "base": ' + disk + "}",
+            # Pairs that are not two JSON numbers, and scalars that are not JSON numbers.
+            disk.replace("[[0.0, 0.0]]", "[[0]]"),
+            disk.replace("[[0.0, 0.0]]", "[[0, 0, 7]]"),
+            disk.replace("[[0.0, 0.0]]", '[["0", 0]]'),
+            disk.replace("[[0.0, 0.0]]", "[0, 0]"),
+            disk.replace("[1.0]", "[true]"),
+            disk.replace("[1.0]", '"1.0"'),
+            '{"kind": "halfspace", "level": 0, "normal": [[1.0, 0.0]], "offset": "0.5"}',
+            '{"kind": "halfspace", "level": 0, "normal": [[1.0, 0.0]], "offset": 1' + "0" * 400 + "}",
+            '{"kind": "affine-image", "scale": "2", "shift": [[0.0, 0.0]], "base": ' + disk + "}",
+            '{"kind": "acted-image", "element": {"level": 1, "phases": [[1, 0, 0]]}, "base": ' + disk + "}",
         ):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_set_spec(text)
         # An infinite radius is allowed: that factor is the whole plane.
         assert parse_set_spec("disk:level0:rinf").radii[0] == math.inf
+        # A single JSON number is a radius for every path.
+        shared = '{"kind": "disk-product", "level": 1, "centers": [[0, 0], [0, 0]], "radii": 1.5}'
+        assert list(parse_set_spec(shared).radii) == [1.5, 1.5]
 
     def test_deeply_nested_set_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         disk = '{"kind": "disk-product", "level": 0, "centers": [[0.0, 0.0]], "radii": [1.0]}'
@@ -244,6 +261,14 @@ class TestEstimateCommand:
         assert out == ""
         assert "budget" in err
 
+    def test_whirl_at_an_absurd_level_runs_on_the_innovation_path(self, capsys, tmp_path):
+        # Its two phases are all it holds, so no 2**level integer is built.
+        spec = tmp_path / "whirl.json"
+        spec.write_text(json.dumps(acted_set(make_gsk(0.5, ABSURD - 1), disk_product(0, 0j, 1.0)).to_json()))
+        code, out, _ = run_cli(capsys, "estimate", "--set", str(spec), "--samples", "1000")
+        assert code == 0
+        assert json.loads(out)["samples"] == 1000
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_two_before_any_draw(self, capsys, monkeypatch, workers):
         def refuse(*args, **kwargs):
@@ -336,6 +361,35 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--depth", str(ABSURD)],
+            ["whirly-search", "--max-depth", str(ABSURD)],
+            ["verify-action-identity", "--level", "0", "--k", str(ABSURD)],
+            ["estimate", "--set", f"disk:level{ABSURD}:r1"],
+            ["estimate", "--set", "mixed"],
+        ],
+        ids=["sample", "whirly-search", "action-identity", "disk", "acted-file"],
+    )
+    def test_absurd_levels_exit_two_before_any_shift(self, capsys, tmp_path, argv):
+        # 2**ABSURD would take 12.5 GB; the budget refuses the level first.
+        if argv[-1] == "mixed":
+            w = np.exp(0.4j)
+            element = {"level": ABSURD, "phases": [[w.real, w.imag], [w.real, -w.imag], [1, 0], [1, 0]]}
+            spec = tmp_path / "mixed.json"
+            spec.write_text(json.dumps({"kind": "acted-image", "element": element, "base": disk_product(0, 0j, 1.0).to_json()}))
+            argv = [*argv[:-1], str(spec)]
+        # A shorthand set is refused while the arguments are parsed.
+        try:
+            code = main([*argv, "--seed", "9"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "budget" in captured.err
 
     def test_disk_search_does_not_budget_its_inner_samples(self, monkeypatch):
         # A disk product's translated measures are exact, and a scanned

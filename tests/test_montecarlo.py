@@ -128,6 +128,29 @@ class TestTallyBlocks:
         assert np.all(total == 200 * 64)
         assert max(most) <= 2 * workers + 2, max(most)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_is_taken_as_blocks_start(self, workers):
+        # A million one-sample blocks: memory does not grow with the block
+        # count, because the plan is taken one block at a time.
+        calls = []
+        lock = threading.Lock()
+
+        def block(gen, count):
+            with lock:
+                calls.append(count)
+                if len(calls) == 4:
+                    raise RuntimeError("fourth block")
+            return np.ones(1)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="fourth block"):
+                tally_blocks(block, 10**6, RngStream(76), block_size=1, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_are_refused_before_any_draw(self, monkeypatch, workers):
         def refuse(*args, **kwargs):
@@ -387,8 +410,9 @@ class TestJointEvents:
     def test_exclusive_events_never_cooccur(self):
         d = disk_product(0, 0j, 1.0)
         table = estimate_joint_events([d, boolean_combine("complement", [d])], 0, 5000, RngStream(82))
-        assert table.cell([1, 1]) == 0.0
-        assert table.cell([0, 0]) == 0.0
+        # Cell code c holds the samples in event j exactly when bit j of c is set.
+        assert table.probs[0b11] == 0.0
+        assert table.probs[0b00] == 0.0
         assert table.marginal(0) + table.marginal(1) == pytest.approx(1.0)
 
     def test_independent_coordinates_factorize(self):
@@ -396,7 +420,7 @@ class TestJointEvents:
         second = disk_product(1, 0j, [math.inf, 1.0])
         table = estimate_joint_events([first, second], 1, 100_000, RngStream(83))
         p0, p1 = table.marginal(0), table.marginal(1)
-        joint = table.cell([1, 1])
+        joint = table.probs[0b11]
         se = 2.0 * math.sqrt(p0 * p1 * (1.0 - p0 * p1) / table.samples)
         assert abs(joint - p0 * p1) < 4.0 * se
 
@@ -500,9 +524,10 @@ class TestInnovationPath:
         events = [acted_set(make_gsk(0.5, k), disk) for k in (1, 1, 2)]
         fast, slow = self._agree(events, 3, 205)
         for table in (fast, slow):
-            assert table.cell([1, 0, 0]) == table.cell([0, 1, 0]) == 0.0
-            assert table.cell([1, 0, 1]) == table.cell([0, 1, 1]) == 0.0
-        assert fast.cell([1, 1, 0]) > 0.05
+            # Bit j of a cell code is event j: the first two events agree.
+            assert table.probs[0b001] == table.probs[0b010] == 0.0
+            assert table.probs[0b101] == table.probs[0b110] == 0.0
+        assert fast.probs[0b011] > 0.05
 
     def test_non_conjugate_two_phase_element(self):
         disk = disk_product(1, 0.5 + 0.2j, 1.2)

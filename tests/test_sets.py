@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from whirly_lab import (
-    DepthMismatchError,
     GroupElement,
     LevelMismatchError,
     RngStream,
@@ -26,6 +25,7 @@ from whirly_lab import (
     linear_reads,
     make_gsk,
     project,
+    project_vectors,
     random_element,
     sample_levels,
     sample_tree,
@@ -78,9 +78,9 @@ class TestDiskProduct:
         radii = np.full(width, radius)
         radii[1::3] = math.inf
         finite = np.where(np.isinf(radii), 0.0, radii)
-        # The [..., 0] view standard_complex returns, as the samplers pass it.
+        # The C-contiguous array standard_complex returns, as the samplers pass it.
         x = _draws(62 + level, 3000, level)
-        assert not x.flags.owndata
+        assert x.flags.c_contiguous
         x += centers
         x[0] = centers + finite
         x[1] = centers + 1j * finite
@@ -263,7 +263,7 @@ class TestActedSet:
         for _ in range(50):
             tree = sample_tree(3, gen)
             pulled = project(act(conjugate(g), tree), d.level)
-            assert moved.indicator_at(tree.level(moved.level))[0] == d.indicator_at(pulled.entries, pulled.level)[0]
+            assert moved.indicator_at(tree.level(moved.level))[0] == d.indicator_at(pulled.entries)[0]
 
     def test_inverse_action_roundtrips(self):
         gen = RngStream(59).generator()
@@ -271,7 +271,8 @@ class TestActedSet:
         g = random_element(2, gen)
         back = acted_set(g, acted_set(conjugate(g), d))
         x = _draws(60, 2000, 2)
-        np.testing.assert_array_equal(back.indicator_at(x), d.indicator_at(x, level=2))
+        own = project_vectors(x, 2, d.level)
+        np.testing.assert_array_equal(back.indicator_at(x), d.indicator_at(own))
 
     def test_rotation_preserves_mass(self):
         count = 150_000
@@ -296,11 +297,14 @@ class TestActedSet:
 
 class TestIndicatorPlumbing:
     def test_deeper_input_is_projected_first(self):
+        # A deeper row is the caller's to project: given as it is, it is refused.
         d = disk_product(0, 0j, 1.0)
         levels = sample_levels(3, 500, RngStream(63).generator())
-        from_leaves = d.indicator_at(levels[3], level=3)
+        from_leaves = d.indicator_at(project_vectors(levels[3], 3, d.level))
         from_own = d.indicator_at(levels[0])
         np.testing.assert_array_equal(from_leaves, from_own)
+        with pytest.raises(LevelMismatchError):
+            d.indicator_at(levels[3])
 
     def test_indicator_uses_matching_level_from_list(self):
         d = disk_product(1, 0j, 1.0)
@@ -310,12 +314,12 @@ class TestIndicatorPlumbing:
     def test_column_count_is_checked(self):
         d = disk_product(1, 0j, 1.0)
         with pytest.raises(LevelMismatchError):
-            d.indicator_at(np.ones((5, 3), dtype=complex), level=1)
+            d.indicator_at(np.ones((5, 3), dtype=complex))
 
     def test_coarser_input_is_an_error(self):
         d = disk_product(2, 0j, 1.0)
-        with pytest.raises(DepthMismatchError):
-            d.indicator_at(np.ones((5, 2), dtype=complex), level=1)
+        with pytest.raises(LevelMismatchError):
+            d.indicator_at(np.ones((5, 2), dtype=complex))
 
     def test_one_dimensional_input_is_one_vector(self):
         d = disk_product(1, 0j, 1.0)
@@ -482,7 +486,8 @@ class TestLinearReads:
         x = _draws(seed % 1000, 300, top)
         y = _padded_reads(reads, x)
         for event, reduced in zip(events, reads.reduced):
-            np.testing.assert_array_equal(reduced.indicator_at(y), event.indicator_at(x, top))
+            own = project_vectors(x, top, event.level)
+            np.testing.assert_array_equal(reduced.indicator_at(y), event.indicator_at(own))
 
     def test_one_read_serves_every_set_that_makes_it(self):
         gen = RngStream(72).generator()

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 import whirly_lab.tree as tree_module
 from whirly_lab import (
     DepthMismatchError,
-    DyadicPath,
     LevelMismatchError,
     LevelVector,
     RngStream,
     TreeSample,
-    as_path,
     conditional_levels,
     disk_mass,
     innovations,
@@ -38,36 +36,56 @@ from whirly_lab import (
 SQRT2 = math.sqrt(2.0)
 
 
+def _walk(root: complex, innov: list[np.ndarray], bits: str) -> complex:
+    """The value at the path ``bits``, reached from the root by the
+    innovation recursion one bit at a time, each step reading the innovation
+    of the node that the bits so far spell."""
+    z = root
+    for j, bit in enumerate(bits):
+        u = innov[j][int("0" + bits[:j], 2)]
+        z = (z + u) / SQRT2 if bit == "0" else (z - u) / SQRT2
+    return z
+
+
+def _innovation_tree(depth: int, seed: int) -> tuple[complex, list[np.ndarray], TreeSample]:
+    gen = RngStream(seed).generator()
+    root = complex(standard_complex(gen, (1,))[0])
+    innov = [standard_complex(gen, (1 << n,)) for n in range(depth)]
+    return root, innov, tree_from_innovations(root, innov)
+
+
 class TestDyadicPath:
+    """A level holds its paths in path order: the node of a path sits at the
+    index its bits spell in binary, root end first."""
+
     def test_index_orders_paths_lexicographically(self):
-        assert DyadicPath((0, 0)).index == 0
-        assert DyadicPath((0, 1)).index == 1
-        assert DyadicPath((1, 0)).index == 2
-        assert DyadicPath((1, 1)).index == 3
+        root, innov, tree = _innovation_tree(2, 1)
+        walked = [_walk(root, innov, bits) for bits in ("00", "01", "10", "11")]
+        np.testing.assert_allclose(tree.level(2), walked, rtol=0, atol=1e-12)
 
     def test_children_sit_at_doubled_indices(self):
-        parent = as_path("101")
-        assert parent.child(0).index == 10
-        assert parent.child(1).index == 11
+        root, innov, tree = _innovation_tree(4, 2)
+        parent = int("101", 2)
+        for bit in (0, 1):
+            child = _walk(root, innov, "101" + str(bit))
+            assert tree.level(4)[2 * parent + bit] == pytest.approx(child, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=12), st.data())
     @settings(deadline=None, derandomize=True, max_examples=40)
     def test_index_reads_the_bits_in_binary(self, length, data):
         index = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-        path = as_path([(index >> j) & 1 for j in reversed(range(length))])
-        assert path.length == length
-        assert path.index == index
+        bits = "".join(str((index >> j) & 1) for j in reversed(range(length)))
+        root, innov, tree = _innovation_tree(length, index)
+        assert tree.level(length)[index] == pytest.approx(_walk(root, innov, bits), abs=1e-12)
 
     def test_prefix_truncates(self):
-        path = as_path("1011")
-        assert path.prefix(2) == as_path("10")
-        assert str(path.prefix(0)) == "<root>"
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            DyadicPath((0, 2))
-        with pytest.raises(ValueError):
-            as_path("01x")
+        # Projecting a level-4 row that is nonzero only at 1011 leaves weight
+        # only at its prefix: 10 at level 2, the root at level 0.
+        x = np.zeros((1, 16), dtype=complex)
+        x[0, int("1011", 2)] = 1.0
+        for length, prefix in ((2, "10"), (0, "")):
+            coarse = project_vectors(x, 4, length)[0]
+            assert np.flatnonzero(coarse).tolist() == [int("0" + prefix, 2)]
 
 
 class TestSampling:
@@ -194,8 +212,10 @@ class TestProjection:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_flat_fold_is_the_sibling_fold_bit_for_bit(self, k, layout):
         draws = standard_complex(RngStream(16).generator(), (600, 4 << k))
-        assert not draws.flags.owndata
-        x = {"contiguous": draws.copy(), "strided": draws[::2], "draw-view": draws}[layout]
+        # The same values as a complex view into a float64 draw, which owns no data.
+        view = RngStream(16).generator().standard_normal((600, 4 << k, 2)).view(np.complex128)[..., 0]
+        assert not view.flags.owndata
+        x = {"contiguous": draws, "strided": draws[::2], "draw-view": view}[layout]
         expected = x
         for _ in range(k):
             expected = expected[:, 0::2] + expected[:, 1::2]
@@ -243,12 +263,6 @@ class TestProjection:
         with pytest.raises(DepthMismatchError):
             project(tree, 3)
 
-    def test_level_vector_value_by_path(self):
-        vec = LevelVector(2, [1, 2j, -1, -2j])
-        assert vec.value("10") == -1
-        with pytest.raises(LevelMismatchError):
-            vec.value("0")
-
 
 class TestInnovations:
     def test_u_stat_matches_hand_fold(self):
@@ -271,10 +285,10 @@ class TestInnovations:
     def test_u_stat_by_path(self):
         tree = sample_tree(3, RngStream(12).generator())
         child = tree.level(3)
-        sigma = as_path("01")
-        assert u_stat_vector(tree, sigma.length, 2)[sigma.index] == pytest.approx((child[2] - child[3]) / SQRT2)
+        sigma = int("01", 2)
+        assert u_stat_vector(tree, 2, 2)[sigma] == pytest.approx((child[2] - child[3]) / SQRT2)
         with pytest.raises(ValueError):
-            u_stat_vector(tree, as_path("011").length, 2)
+            u_stat_vector(tree, 3, 2)
 
     def test_u_stat_needs_one_level_below_k(self):
         tree = sample_tree(2, RngStream(13).generator())
