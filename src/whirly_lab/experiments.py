@@ -507,14 +507,13 @@ def verify_conditional_independence(
 
 
 def _scanned_hits(
-    target: BorelSet, a: float, z_samples: int, inner_samples: int, rng: RngStream, workers: int = 1
+    target: BorelSet, a: float, shifts: np.ndarray, inner_samples: int, rng: RngStream, workers: int = 1
 ) -> np.ndarray:
     """Per-``z`` hit counts of ``sqrt(1+a**2)*K + a*z``, ``inner_samples`` each,
-    by Monte Carlo.
+    by Monte Carlo, for the rows ``a*z`` of ``shifts``.
 
     The scan behind :func:`_fiber_scan` for every target but a disk product,
-    and for a disk product the oracle the tests hold the exact fiber to.  The
-    ``z`` are standard level vectors drawn from ``rng.child(1)``.  One
+    and for a disk product the oracle the tests hold the exact fiber to.  One
     :func:`~whirly_lab.montecarlo.tally_blocks` call on ``rng.child(2)``
     draws ``inner_samples`` standard level vectors ``w`` in blocks of
     ``default_block_size(L)``, ``L`` the set's level, and a block counts for
@@ -524,12 +523,11 @@ def _scanned_hits(
     """
     width = 1 << target.level
     scale = math.sqrt(1.0 + a * a)
-    shifts = a * standard_complex(rng.child(1).generator(), (z_samples, width))
 
     def scan_block(gen: np.random.Generator, count: int) -> np.ndarray:
         w = standard_complex(gen, (count, width), out=block_buffer("scan", (count, width)))
         moved = block_buffer("scan_moved", (count, width))
-        hits = np.empty(z_samples, dtype=np.int64)
+        hits = np.empty(len(shifts), dtype=np.int64)
         for j, shift in enumerate(shifts):
             np.subtract(w, shift, out=moved)
             hits[j] = np.count_nonzero(target.indicator_at(_div_real(moved, scale)))
@@ -547,13 +545,14 @@ def _fiber_scan(
 
     ``base`` estimates the measure of ``K`` on ``base_samples`` draws of
     ``rng.child(0)``, and a ``K`` whose interval reaches 0 is refused.
-    ``measures`` holds the measure of ``sqrt(1+a**2)*K + a*z`` for each ``z``
-    of :func:`_scanned_hits` (same stream, same shape).  For a
-    :class:`~whirly_lab.sets.DiskProduct` it is exact and only the ``z`` are
-    drawn: it is :func:`~whirly_lab.tree.disk_product_mass` at ``scale =
-    sqrt(1+a**2)`` and ``shifts = a*z``, and ``hits`` is ``None``.  Any
-    other ``K`` is scanned: ``hits`` holds :func:`_scanned_hits`'s counts
-    and ``measures`` is ``hits / inner_samples``.  Both tallies run on
+    ``measures`` holds the measure of ``sqrt(1+a**2)*K + a*z`` for each of
+    ``z_samples`` standard level vectors ``z``, drawn once from
+    ``rng.child(1)``.  For a :class:`~whirly_lab.sets.DiskProduct` it is
+    exact and only the ``z`` are drawn: it is
+    :func:`~whirly_lab.tree.disk_product_mass` at ``scale = sqrt(1+a**2)``
+    and ``shifts = a*z``, and ``hits`` is ``None``.  Any other ``K`` is
+    scanned on the same ``a*z``: ``hits`` holds :func:`_scanned_hits`'s
+    counts and ``measures`` is ``hits / inner_samples``.  Both tallies run on
     ``workers`` threads.  Fewer than 10 ``z`` or ``MIN_SAMPLES`` inner
     samples, or a draw that would not fit the sampler budget (all ``z`` at
     once, or one block), is refused with a ``ValueError`` before anything is
@@ -567,12 +566,11 @@ def _fiber_scan(
     base = estimate_measure(target, target.level, base_samples, rng.child(0), workers=workers)
     if not base.ci_low > 0.0:
         raise ValueError("target set is estimated null; its translated measures are uninformative")
+    shifts = a * standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
     if not isinstance(target, DiskProduct):
-        hits = _scanned_hits(target, a, z_samples, inner_samples, rng, workers)
+        hits = _scanned_hits(target, a, shifts, inner_samples, rng, workers)
         return base, hits / inner_samples, hits
-    scale = math.sqrt(1.0 + a * a)
-    zs = standard_complex(rng.child(1).generator(), (z_samples, 1 << target.level))
-    return base, disk_product_mass(target.radii, target.centers, scale, a * zs), None
+    return base, disk_product_mass(target.radii, target.centers, math.sqrt(1.0 + a * a), shifts), None
 
 
 def positivity_scan(

@@ -4,15 +4,18 @@ Estimators draw realizations of the tree process (unconditional or pinned at a
 level), evaluate set membership, and report the hit fraction with a Wilson
 score confidence interval.
 
-Every estimate draws through one block sampler, :func:`event_indicators`,
-which draws only what a family of events reads and chooses how from the
-family alone: whirled events in innovation coordinates, ``(m + 1) * 2**N``
-draws per sample for ``m`` distinct bits, with one copy per pattern and base
-evaluated once per bit (``_innovation_plan`` alone decides which families
-qualify); other unconditional families through the exact joint law of their
-``D`` stacked linear reads when ``D`` plus the off-diagonal entries of their
-per-group triangular factors stays below ``2**L``; and otherwise the deepest
-level the family needs, never a level below it.
+Every estimate is a joint table of :func:`estimate_joint_events`: a measure
+is the one-event table, and a conditional measure the one-event table pinned
+at a level vector.  Its blocks draw through one block sampler,
+:func:`event_indicators`, which draws only what a family of events reads and
+chooses how from the family alone: whirled events in innovation coordinates,
+``(m + 1) * 2**N`` draws per sample for ``m`` distinct bits, with one copy
+per pattern and base evaluated once per bit (``_innovation_plan`` alone
+decides which families qualify); other unconditional families through the
+exact joint law of their ``D`` stacked linear reads when ``D`` plus the
+off-diagonal entries of their per-group triangular factors stays below
+``2**L``; and otherwise the deepest level the family needs, never a level
+below it.
 
 The sampler budget is checked on the level the blocks fill.  An estimator's
 ``depth`` decides nothing but must reach the family's level.
@@ -486,15 +489,6 @@ def event_indicators(
     return default_block_size(level), level_block
 
 
-def _check_common(depth: int, min_level: int, samples: int) -> None:
-    if depth < min_level:
-        raise DepthMismatchError(
-            f"sampling depth {depth} is below the required level {min_level}"
-        )
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-
-
 def estimate_measure(
     target: BorelSet,
     depth: int,
@@ -506,22 +500,17 @@ def estimate_measure(
 ) -> MeasureEstimate:
     """Estimate the measure of ``target`` from fresh realizations.
 
-    Draws only what the set reads (see :func:`event_indicators`): two
-    standard complex values per realization for the symmetric difference of
-    two acted level-0 disks, at any level, and the set's own level vector
-    for a set that reads all of it.  A set whose blocks would not fit the
-    sampler budget, or a ``confidence`` outside (0, 1), is refused with a
-    ``ValueError`` before any draw.  ``depth`` must reach the set's level and
-    decides nothing else.
+    The hits are cell 1 of the one-event :func:`estimate_joint_events`
+    table, which draws only what the set reads (see
+    :func:`event_indicators`): two standard complex values per realization
+    for the symmetric difference of two acted level-0 disks, at any level,
+    and the set's own level vector for a set that reads all of it.  A set
+    whose blocks would not fit the sampler budget, or a ``confidence``
+    outside (0, 1), is refused with a ``ValueError`` before any draw.
+    ``depth`` must reach the set's level and decides nothing else.
     """
-    _check_common(depth, target.level, samples)
     _check_confidence(confidence)
-    block_size, indicators = event_indicators([target])
-
-    def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([int(np.count_nonzero(indicators(gen, count)))], dtype=np.int64)
-
-    total = int(tally_blocks(block, samples, rng, block_size=block_size, workers=workers)[0])
+    total = estimate_joint_events([target], depth, samples, rng, workers=workers).counts[1]
     low, high = wilson_interval(total, samples, confidence)
     return MeasureEstimate(
         estimate=total / samples,
@@ -547,10 +536,11 @@ def estimate_joint_events(
 
     With ``given`` the samples come from the exact conditional law pinned at
     that level vector; one event and a ``given`` estimate a conditional
-    measure.  The events are sampled through :func:`event_indicators`,
-    which refuses a family whose blocks would not fit the sampler budget
-    before any draw.  ``depth`` must reach every event's level and that of
-    ``given`` and decides nothing else.
+    measure, and one event alone its measure (:func:`estimate_measure`).
+    The events are sampled through :func:`event_indicators`, which refuses a
+    family whose blocks would not fit the sampler budget before any draw.
+    ``depth`` must reach every event's level and that of ``given`` and
+    decides nothing else.
     """
     n_events = len(events)
     if not 1 <= n_events <= MAX_JOINT_EVENTS:
@@ -558,13 +548,17 @@ def estimate_joint_events(
     min_level = max(e.level for e in events)
     if given is not None:
         min_level = max(min_level, given.level)
-    _check_common(depth, min_level, samples)
+    if depth < min_level:
+        raise DepthMismatchError(f"sampling depth {depth} is below the required level {min_level}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     block_size, indicators = event_indicators(events, given=given)
 
     def block(gen: np.random.Generator, count: int) -> np.ndarray:
-        code = np.zeros(count, dtype=np.int64)
-        for j, hit in enumerate(indicators(gen, count)):
-            code |= hit.astype(np.int64) << j
+        rows = indicators(gen, count)
+        code = rows[0].astype(np.intp)
+        for j in range(1, n_events):
+            code |= rows[j].astype(np.intp) << j
         return np.bincount(code, minlength=1 << n_events)
 
     counts = tally_blocks(block, samples, rng, block_size=block_size, workers=workers)

@@ -260,14 +260,12 @@ class TestPositivity:
         monkeypatch.setattr(experiments_module, "_scanned_hits", spy)
         z_samples, inner, width = 40, 2000, 1 << target.level
         report = positivity_scan(target, -1.0, z_samples, inner, RngStream(143))
-        assert (shapes + scan).count((z_samples, width)) == 1
+        # The z are drawn once, by the fiber, before any scan.
+        assert shapes.count((z_samples, width)) == 1
         assert scanned == ([target] if scans else [])
-        blocks = scan[1:]
-        assert bool(blocks) == scans
-        if scans:
-            assert scan[0] == (z_samples, width)
-            assert all(s[1:] == (width,) for s in blocks)
-            assert sum(s[0] for s in blocks) == inner
+        assert bool(scan) == scans
+        assert all(s[1:] == (width,) for s in scan)
+        assert sum(s[0] for s in scan) == (inner if scans else 0)
         base = [s for s in shapes if s != (z_samples, width)]
         assert all(len(s) == 2 for s in base)
         assert sum(s[0] for s in base) == inner
@@ -312,11 +310,11 @@ class TestTranslatedScan:
         or with ``exact`` the measures of ``_fiber_scan`` on the same z."""
         target = self._disk(centers, radius)
         rng = RngStream(seed)
-        hits = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+        zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
+        hits = experiments_module._scanned_hits(target, a, a * zs, self.INNER, rng)
         if exact:
             _, p, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
         else:
-            zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
             p = self._disk_mass_product(target, a, zs)
         return (hits / self.INNER - p) / np.sqrt(p * (1.0 - p) / self.INNER)
 
@@ -370,15 +368,16 @@ class TestTranslatedScan:
             rng = RngStream(seed)
             _, exact, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
             binomial = rng.child(2).generator().binomial(self.INNER, exact)
-            scanned = experiments_module._scanned_hits(target, a, self.Z_SAMPLES, self.INNER, rng)
+            zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, len(centers)))
+            scanned = experiments_module._scanned_hits(target, a, a * zs, self.INNER, rng)
             p1, p2 = binomial / self.INNER, scanned / self.INNER
             se = np.sqrt(self.INNER * (p1 * (1.0 - p1) + p2 * (1.0 - p2)))
             sigmas = [experiments_module._sigma(float(d), float(e)) for d, e in zip(binomial - scanned, se)]
             assert np.max(np.abs(sigmas)) < self.SIGMA
 
     def test_every_z_is_counted_on_the_same_blocks(self, monkeypatch):
-        # After the z, the scan draws blocks of default_block_size(level) level
-        # vectors from rng.child(2), and every z is counted on all of them.
+        # The scan draws blocks of default_block_size(level) level vectors
+        # from rng.child(2), and every z is counted on all of them.
         shapes = []
 
         def recording(gen, shape, out=None):
@@ -394,11 +393,11 @@ class TestTranslatedScan:
             target = self._disk(centers, 1.5)
             width = 1 << target.level
             rng = RngStream(132)
-            hits = experiments_module._scanned_hits(target, a, z_samples, inner, rng)
+            zs = standard_complex(rng.child(1).generator(), (z_samples, width))
+            hits = experiments_module._scanned_hits(target, a, a * zs, inner, rng)
             plan = montecarlo_module.block_plan(inner, default_block_size(target.level))
             assert [count for _, count in plan] == counts
-            assert shapes == [(z_samples, width)] + [(count, width) for count in counts]
-            zs = standard_complex(rng.child(1).generator(), (z_samples, width))
+            assert shapes == [(count, width) for count in counts]
             recount = np.zeros(z_samples, dtype=np.int64)
             for i, count in enumerate(counts):
                 w = standard_complex(rng.child(2).block(i), (count, width))
@@ -501,10 +500,10 @@ class TestWhirlySearch:
         report = whirly_search(target, 0.5, 2000, target.level + 3, RngStream(138), z_samples=20, inner_samples=300)
         width = 1 << target.level
         assert (20, width) in shapes
-        blocks = scan[1:]
+        assert (20, width) not in scan
         assert scanned == ([target] if scans else [])
-        assert bool(blocks) == scans
-        assert sum(s[0] for s in blocks) == (300 if scans else 0)
+        assert bool(scan) == scans
+        assert sum(s[0] for s in scan) == (300 if scans else 0)
         assert 0.0 < report.observed["delta"] < 1.0
 
     def test_tiny_exact_delta_gives_a_finite_union_length(self):
