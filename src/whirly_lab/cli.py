@@ -2,9 +2,8 @@
 
 Every command resolves its seed from ``--seed``, then the ``WHIRLY_LAB_SEED``
 environment variable, then a fixed default, and derives all randomness from
-that seed through named streams.  Standard output carries the machine-readable
-result (JSON by default, ``--format csv`` for a flat ``section,key,value``
-table) and is byte-deterministic for a fixed command line and seed; progress
+that seed through named streams.  Standard output carries the result as one
+JSON document, byte-deterministic for a fixed command line and seed; progress
 and timing notes go to standard error.
 
 Exit codes: 0 on success (and on verifications that pass), 1 when a
@@ -14,7 +13,6 @@ verification or the acceptance suite fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,6 +37,11 @@ from .tree import sample_tree
 
 ENV_SEED = "WHIRLY_LAB_SEED"
 DEFAULT_SEED = ACCEPTANCE_SEED
+
+# ``sample`` prints a tree through Python lists of ``[re, im]`` pairs, about
+# 35 times the tree's own bytes: with stdout to a file, depth 19 peaks at
+# 574 MB RSS and depth 20 at 1,090 MB, so depth 19 is the deepest under 1 GiB.
+SAMPLE_MAX_DEPTH = 19
 
 
 # ---------------------------------------------------------------------------
@@ -134,38 +137,10 @@ def _emit_json(payload: dict, out) -> None:
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _flatten(section: str, mapping: dict) -> list[tuple[str, str, str]]:
-    rows = []
-    for key in sorted(mapping):
-        value = mapping[key]
-        if isinstance(value, dict):
-            rows.extend((section, f"{key}.{op}", repr(bound)) for op, bound in sorted(value.items()))
-        else:
-            rows.append((section, key, repr(value) if not isinstance(value, str) else value))
-    return rows
-
-
-def _emit_report(report: ExperimentReport, fmt: str, out) -> None:
-    if fmt == "json":
-        _emit_json(report.json_dict(), out)
-        return
-    writer = csv.writer(out)
-    writer.writerow(["section", "key", "value"])
-    writer.writerow(["report", "name", report.name])
-    writer.writerow(["report", "pass", str(report.passed).lower()])
-    writer.writerow(["report", "seed", str(report.seed)])
-    for row in _flatten("parameters", report.parameters):
-        writer.writerow(row)
-    for row in _flatten("observed", report.observed):
-        writer.writerow(row)
-    for row in _flatten("thresholds", report.thresholds):
-        writer.writerow(row)
-
-
-def _report_command(report: ExperimentReport, args: argparse.Namespace) -> int:
+def _report_command(report: ExperimentReport) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(f"{verdict} {report.name} ({report.runtime_ms} ms)", file=sys.stderr)
-    _emit_report(report, args.format, sys.stdout)
+    _emit_json(report.json_dict(), sys.stdout)
     return 0 if report.passed else 1
 
 
@@ -176,26 +151,20 @@ def _report_command(report: ExperimentReport, args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${ENV_SEED} or {DEFAULT_SEED})")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
     if workers:
         parser.add_argument("--workers", type=int, default=1, help="worker threads (results are identical for any count)")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.depth > SAMPLE_MAX_DEPTH:
+        raise ValueError(f"sample --depth {args.depth} is over the print budget: at most {SAMPLE_MAX_DEPTH}")
     tree = sample_tree(args.depth, _stream(args).generator())
-    if args.format == "json":
-        payload = {
-            "depth": tree.depth,
-            "levels": [[[z.real, z.imag] for z in level] for level in tree.levels],
-            "seed": resolve_seed(args.seed),
-        }
-        _emit_json(payload, sys.stdout)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["section", "key", "value"])
-        for n, level in enumerate(tree.levels):
-            for index, z in enumerate(level):
-                writer.writerow([f"level{n}", str(index), f"{z.real:.17g}{z.imag:+.17g}j"])
+    payload = {
+        "depth": tree.depth,
+        "levels": [[[z.real, z.imag] for z in level] for level in tree.levels],
+        "seed": resolve_seed(args.seed),
+    }
+    _emit_json(payload, sys.stdout)
     return 0
 
 
@@ -203,22 +172,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     est = estimate_measure(
         args.set, args.set.level, args.samples, _stream(args), workers=args.workers, confidence=args.confidence
     )
-    if args.format == "json":
-        _emit_json(est.json_dict(), sys.stdout)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["section", "key", "value"])
-        writer.writerows(_flatten("estimate", est.json_dict()))
+    _emit_json(est.json_dict(), sys.stdout)
     return 0
 
 
 def cmd_verify_marginals(args: argparse.Namespace) -> int:
-    return _report_command(verify_marginals(args.level, args.samples, _stream(args)), args)
+    return _report_command(verify_marginals(args.level, args.samples, _stream(args)))
 
 
 def cmd_verify_action_identity(args: argparse.Namespace) -> int:
     report = verify_action_identity(args.level, args.k, args.s, args.trials, _stream(args))
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_verify_continuity(args: argparse.Namespace) -> int:
@@ -232,24 +196,24 @@ def cmd_verify_continuity(args: argparse.Namespace) -> int:
         pairs=args.pairs,
         workers=args.workers,
     )
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_verify_convolve(args: argparse.Namespace) -> int:
     report = verify_convolution(args.set, args.a, args.samples, _stream(args), workers=args.workers)
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_verify_independence(args: argparse.Namespace) -> int:
     report = verify_conditional_independence(
         args.set, args.s, args.m, args.samples, _stream(args), workers=args.workers
     )
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_positivity_scan(args: argparse.Namespace) -> int:
     report = positivity_scan(args.set, args.a, args.z_samples, args.inner_samples, _stream(args))
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_whirly_search(args: argparse.Namespace) -> int:
@@ -263,12 +227,12 @@ def cmd_whirly_search(args: argparse.Namespace) -> int:
         inner_samples=args.inner_samples,
         workers=args.workers,
     )
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
     report = sharpness_check(args.a, args.b, args.dims, args.samples, _stream(args))
-    return _report_command(report, args)
+    return _report_command(report)
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -320,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw one tree and print its levels")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=4, help=f"tree depth, at most {SAMPLE_MAX_DEPTH}")
     _add_common(p)
     p.set_defaults(run=cmd_sample)
 

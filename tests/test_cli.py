@@ -1,14 +1,19 @@
-"""Command-line behavior: parsing, determinism, formats, and exit codes."""
+"""Command-line behavior: parsing, determinism, output, and exit codes."""
 
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
+import whirly_lab.cli as cli_module
 import whirly_lab.experiments as experiments_module
 import whirly_lab.montecarlo as montecarlo_module
 import whirly_lab.tree as tree_module
@@ -26,6 +31,7 @@ _UNION_SPEC = json.dumps(
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
+SRC = Path(cli_module.__file__).parents[1]
 
 # A level or depth from the command line far too deep to shift by.
 ABSURD = 100_000_000_000
@@ -40,22 +46,35 @@ def _leaves(value, path=""):
     return {path: value}
 
 
+# The roundoff residuals of the exact identities, which move in their last
+# digits with the SIMD kernels NumPy dispatches to on the machine at hand.
+_RESIDUAL = re.compile(r"criteria\.identities\.observed\.(max_\w+_residual)")
+
+
 def assert_matches_golden(out: str, name: str) -> None:
-    """``out`` must equal ``tests/golden/<name>`` byte for byte; on a mismatch
-    the message names every field that moved, with its recorded and new value."""
-    recorded = (GOLDEN / name).read_text()
-    if out == recorded:
-        return
+    """``out`` must be the sorted, two-space-indented JSON text of a report
+    whose leaves equal those of ``tests/golden/<name>``, except that each
+    identities residual is held to its limit in the report's own
+    ``thresholds``, not to the recorded digits.  On a mismatch the message
+    names every field that moved, with its recorded and new value."""
     try:
-        old, new = _leaves(json.loads(recorded)), _leaves(json.loads(out))
+        parsed = json.loads(out)
     except json.JSONDecodeError:
         pytest.fail(f"output differs from {name} and is not JSON")
-    moved = [
-        f"{key}: {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}"
-        for key in sorted(old.keys() | new.keys())
-        if old.get(key, ...) != new.get(key, ...)
-    ]
-    pytest.fail(f"output differs from {name}; moved fields:\n" + "\n".join(moved or ["(none: formatting only)"]))
+    old, new = _leaves(json.loads((GOLDEN / name).read_text())), _leaves(parsed)
+    moved = []
+    for key in sorted(old.keys() | new.keys()):
+        residual = _RESIDUAL.fullmatch(key)
+        if residual and key in old and key in new:
+            limit = new.get(f"criteria.identities.thresholds.{residual[1]}.max")
+            if not (isinstance(new[key], float) and limit is not None and 0.0 <= new[key] <= limit):
+                moved.append(f"{key}: {new[key]!r} is not within its limit {limit!r}")
+        elif old.get(key, ...) != new.get(key, ...):
+            moved.append(f"{key}: {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}")
+    if moved:
+        pytest.fail(f"output differs from {name}; moved fields:\n" + "\n".join(moved))
+    layout = json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+    assert out == layout, f"output holds {name}'s fields in another layout"
 
 
 def run_cli(capsys, *argv):
@@ -180,12 +199,30 @@ class TestSampleCommand:
         _, out_flag, _ = run_cli(capsys, "sample", "--depth", "2", "--seed", "5")
         assert out_env == out_flag
 
-    def test_csv_output_has_header(self, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--depth", "1", "--seed", "5", "--format", "csv")
+    def test_depth_over_the_print_budget_exits_two_before_any_draw(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the print budget")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        code, out, err = run_cli(capsys, "sample", "--depth", str(cli_module.SAMPLE_MAX_DEPTH + 1))
+        assert code == 2
+        assert out == ""
+        assert "print budget" in err
+
+    def test_depth_at_the_print_budget_prints(self, capsys, monkeypatch):
+        # The tree at the cap takes seconds to print; a depth-2 tree stands
+        # in for it once the command has let the cap through.
+        depths = []
+
+        def small_tree(depth, gen):
+            depths.append(depth)
+            return tree_module.sample_tree(2, gen)
+
+        monkeypatch.setattr(cli_module, "sample_tree", small_tree)
+        code, out, _ = run_cli(capsys, "sample", "--depth", str(cli_module.SAMPLE_MAX_DEPTH))
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "section,key,value"
-        assert len(lines) == 1 + 1 + 2  # header, root, two leaves
+        assert depths == [cli_module.SAMPLE_MAX_DEPTH]
+        assert json.loads(out)["depth"] == 2
 
 
 class TestEstimateCommand:
@@ -198,28 +235,13 @@ class TestEstimateCommand:
         assert payload["samples"] == 20000
         assert payload["estimate"] == pytest.approx(0.3935, abs=0.02)
         assert payload["ci"][0] < payload["estimate"] < payload["ci"][1]
+        assert payload["hits"] == 7734  # pinned draws
 
     def test_shorthand_and_json_specs_agree(self, capsys):
         inline = json.dumps(parse_set_spec("disk:level0:r1.0").to_json())
         _, out1, _ = run_cli(capsys, "estimate", "--set", "disk:level0:r1.0", "--samples", "5000", "--seed", "9")
         _, out2, _ = run_cli(capsys, "estimate", "--set", inline, "--samples", "5000", "--seed", "9")
         assert out1 == out2
-
-    def test_csv_rows_are_the_json_fields(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "estimate", "--set", "disk:level1:r1.0", "--samples", "20000", "--seed", "31415926",
-            "--format", "csv",
-        )
-        assert code == 0
-        assert out.splitlines() == [
-            "section,key,value",
-            'estimate,ci,"[0.1506919518282088, 0.16074030340363046]"',
-            "estimate,confidence,0.95",
-            "estimate,estimate,0.15565",
-            "estimate,hits,3113",
-            "estimate,samples,20000",
-            "estimate,seed,31415926",
-        ]
 
     def test_worker_invariance_is_byte_exact(self, capsys):
         args = ["estimate", "--set", "disk:level1:r1.2", "--samples", "30000", "--seed", "10"]
@@ -312,16 +334,6 @@ class TestVerifyCommands:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
-
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-action-identity", "--trials", "5", "--seed", "3", "--format", "csv"
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "section,key,value"
-        assert any(line.startswith("report,pass,") for line in lines)
-        assert any(line.startswith("observed,max_residual,") for line in lines)
 
     def test_domain_errors_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify-marginals", "--samples", "10", "--seed", "3")
@@ -466,6 +478,10 @@ class TestVerifyCommands:
             ["estimate", "--set", "disk:level0:r1", "--stream", "1"],
             ["verify-continuity", "--relaxed-delta"],
             ["suite", "--scale", "0.5"],
+            # Every command prints JSON; none takes a format.
+            ["sample", "--format", "csv"],
+            ["estimate", "--set", "disk:level0:r1", "--format", "csv"],
+            ["verify-action-identity", "--format", "csv"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -540,6 +556,41 @@ class TestSuiteCommand:
         assert lines[0].startswith("criteria.positivity.observed.delta_at_95: ")
         assert lines[0].endswith(" -> 0.5")
 
+    @pytest.mark.parametrize(
+        "residual, held", [(9e-11, True), (2e-10, False), (-1e-16, False), (math.nan, False)]
+    )
+    def test_golden_residuals_are_held_to_their_limit(self, residual, held):
+        payload = json.loads((GOLDEN / "suite_quick.json").read_text())
+        payload["criteria"]["identities"]["observed"]["max_action_residual"] = residual
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if held:
+            assert_matches_golden(out, "suite_quick.json")
+        else:
+            with pytest.raises(pytest.fail.Exception, match="max_action_residual"):
+                assert_matches_golden(out, "suite_quick.json")
+
+    def test_golden_layout_is_pinned(self):
+        payload = json.loads((GOLDEN / "suite_quick.json").read_text())
+        with pytest.raises(AssertionError, match="layout"):
+            assert_matches_golden(json.dumps(payload, indent=1, sort_keys=True) + "\n", "suite_quick.json")
+
+    def test_quick_suite_matches_at_the_baseline_dispatch(self):
+        # NumPy reads NPY_DISABLE_CPU_FEATURES when it is imported, so only
+        # the child runs on the baseline SIMD kernels: every dispatch target
+        # is disabled, and only the identities residuals may move.
+        dispatch = _multiarray_umath.__cpu_dispatch__
+        if not dispatch:
+            pytest.skip("NumPy has no SIMD dispatch target above its baseline on this machine")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        env.pop("WHIRLY_LAB_SEED", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "whirly_lab.cli", "suite", "--quick"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 1, child.stderr
+        assert_matches_golden(child.stdout, "suite_quick.json")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_two_before_any_report(self, capsys, workers):
         # None of these criteria hands its worker count to a tally, so only
@@ -570,5 +621,5 @@ def test_readme_flags_are_accepted():
         if in_section or "whirly-lab" in line:
             named.update(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line))
     named.discard("--no-build-isolation")
-    assert {"--seed", "--format", "--workers", "--quick"} <= named
+    assert {"--seed", "--workers", "--quick"} <= named
     assert sorted(named - accepted) == []
