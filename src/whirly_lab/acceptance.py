@@ -131,7 +131,7 @@ def _run_identities(seed: int, workers: int, scale: float) -> ExperimentReport:
             for s in s_values:
                 g = make_gsk(s, k)
                 lhs = project_vectors(levels[k + 1] * g.phases, k + 1, n)
-                rhs = (levels[n] + 1j * s * u_n) / math.sqrt(1.0 + s * s)
+                rhs = (levels[n] + 1j * s * u_n) / math.hypot(1.0, s)
                 max_action = np.maximum(max_action, np.max(np.abs(lhs - rhs)))
 
     gen = stream.child(0).generator()

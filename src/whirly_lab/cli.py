@@ -4,7 +4,8 @@ Every command resolves its seed from ``--seed``, then the ``WHIRLY_LAB_SEED``
 environment variable, then a fixed default, and derives all randomness from
 that seed through named streams.  Standard output carries the result as one
 JSON document, byte-deterministic for a fixed command line and seed; progress
-and timing notes go to standard error.
+and timing notes go to standard error.  Each experiment command calls its
+function with options named after the function's parameters.
 
 Exit codes: 0 on success (and on verifications that pass), 1 when a
 verification or the acceptance suite fails, 2 on usage errors.
@@ -20,7 +21,6 @@ import sys
 
 from .acceptance import ACCEPTANCE_SEED, CRITERIA
 from .experiments import (
-    ExperimentReport,
     positivity_scan,
     sharpness_check,
     verify_action_identity,
@@ -137,13 +137,6 @@ def _emit_json(payload: dict, out) -> None:
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _report_command(report: ExperimentReport) -> int:
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"{verdict} {report.name} ({report.runtime_ms} ms)", file=sys.stderr)
-    _emit_json(report.json_dict(), sys.stdout)
-    return 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -176,63 +169,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify_marginals(args: argparse.Namespace) -> int:
-    return _report_command(verify_marginals(args.level, args.samples, _stream(args)))
-
-
-def cmd_verify_action_identity(args: argparse.Namespace) -> int:
-    report = verify_action_identity(args.level, args.k, args.s, args.trials, _stream(args))
-    return _report_command(report)
-
-
-def cmd_verify_continuity(args: argparse.Namespace) -> int:
-    report = verify_continuity(
-        args.radius,
-        args.center,
-        args.epsilon,
-        args.level,
-        args.samples,
-        _stream(args),
-        pairs=args.pairs,
-        workers=args.workers,
-    )
-    return _report_command(report)
-
-
-def cmd_verify_convolve(args: argparse.Namespace) -> int:
-    report = verify_convolution(args.set, args.a, args.samples, _stream(args), workers=args.workers)
-    return _report_command(report)
-
-
-def cmd_verify_independence(args: argparse.Namespace) -> int:
-    report = verify_conditional_independence(
-        args.set, args.s, args.m, args.samples, _stream(args), workers=args.workers
-    )
-    return _report_command(report)
-
-
-def cmd_positivity_scan(args: argparse.Namespace) -> int:
-    report = positivity_scan(args.set, args.a, args.z_samples, args.inner_samples, _stream(args))
-    return _report_command(report)
-
-
-def cmd_whirly_search(args: argparse.Namespace) -> int:
-    report = whirly_search(
-        args.set,
-        args.epsilon,
-        args.samples,
-        args.max_depth,
-        _stream(args),
-        z_samples=args.z_samples,
-        inner_samples=args.inner_samples,
-        workers=args.workers,
-    )
-    return _report_command(report)
-
-
-def cmd_sharpness(args: argparse.Namespace) -> int:
-    report = sharpness_check(args.a, args.b, args.dims, args.samples, _stream(args))
-    return _report_command(report)
+def cmd_report(args: argparse.Namespace) -> int:
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "run", "experiment", "seed")}
+    report = args.experiment(rng=_stream(args), **options)
+    verdict = "PASS" if report.passed else "FAIL"
+    print(f"{verdict} {report.name} ({report.runtime_ms} ms)", file=sys.stderr)
+    _emit_json(report.json_dict(), sys.stdout)
+    return 0 if report.passed else 1
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -296,54 +239,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser("verify-marginals", help="check level and innovation marginals")
-    p.add_argument("--level", type=int, default=3)
+    p.add_argument("--level", dest="n", metavar="LEVEL", type=int, default=3)
     p.add_argument("--samples", type=int, default=100_000)
     _add_common(p)
-    p.set_defaults(run=cmd_verify_marginals)
+    p.set_defaults(run=cmd_report, experiment=verify_marginals)
 
     p = sub.add_parser("verify-action-identity", help="check the exact whirling action identity")
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", dest="n", metavar="LEVEL", type=int, default=1)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--s", type=finite_float, default=1.0)
     p.add_argument("--trials", type=int, default=200)
     _add_common(p)
-    p.set_defaults(run=cmd_verify_action_identity)
+    p.set_defaults(run=cmd_report, experiment=verify_action_identity)
 
     p = sub.add_parser("verify-continuity", help="check measure continuity of the action")
     p.add_argument("--radius", type=finite_float, default=1.0)
     p.add_argument("--center", type=parse_complex, default=0j)
     p.add_argument("--epsilon", type=finite_float, default=0.1)
-    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--level", dest="n", metavar="LEVEL", type=int, default=6)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--pairs", type=int, default=20)
     _add_common(p, workers=True)
-    p.set_defaults(run=cmd_verify_continuity)
+    p.set_defaults(run=cmd_report, experiment=verify_continuity)
 
     p = sub.add_parser("verify-convolve", help="check the translated-set averaging identity")
-    p.add_argument("--set", type=parse_set_spec, default=_default_disk())
+    p.add_argument("--set", dest="target", metavar="SET", type=parse_set_spec, default=_default_disk())
     p.add_argument("--a", type=finite_float, default=1.0)
     p.add_argument("--samples", type=int, default=1_000_000)
     _add_common(p, workers=True)
-    p.set_defaults(run=cmd_verify_convolve)
+    p.set_defaults(run=cmd_report, experiment=verify_convolution)
 
     p = sub.add_parser("verify-independence", help="check conditional independence of whirled events")
-    p.add_argument("--set", type=parse_set_spec, default=_default_disk())
+    p.add_argument("--set", dest="target", metavar="SET", type=parse_set_spec, default=_default_disk())
     p.add_argument("--s", type=finite_float, default=1.0)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--samples", type=int, default=100_000)
     _add_common(p, workers=True)
-    p.set_defaults(run=cmd_verify_independence)
+    p.set_defaults(run=cmd_report, experiment=verify_conditional_independence)
 
     p = sub.add_parser("positivity-scan", help="scan translated measures for positivity")
-    p.add_argument("--set", type=parse_set_spec, default=_default_disk())
+    p.add_argument("--set", dest="target", metavar="SET", type=parse_set_spec, default=_default_disk())
     p.add_argument("--a", type=finite_float, default=-2.0)
     p.add_argument("--z-samples", type=int, default=200)
     p.add_argument("--inner-samples", type=int, default=10_000)
     _add_common(p)
-    p.set_defaults(run=cmd_positivity_scan)
+    p.set_defaults(run=cmd_report, experiment=positivity_scan)
 
     p = sub.add_parser("whirly-search", help="search for whirling elements that inflate a set")
-    p.add_argument("--set", type=parse_set_spec, default=_default_disk())
+    p.add_argument("--set", dest="target", metavar="SET", type=parse_set_spec, default=_default_disk())
     p.add_argument("--epsilon", type=finite_float, default=0.5)
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--max-depth", type=int, default=12)
@@ -356,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate; a disk-product set's translated measures are exact, so for it only the base estimate",
     )
     _add_common(p, workers=True)
-    p.set_defaults(run=cmd_whirly_search)
+    p.set_defaults(run=cmd_report, experiment=whirly_search)
 
     p = sub.add_parser("sharpness", help="check concentration of the scaling statistic")
     p.add_argument("--a", type=finite_float, default=2.0)
@@ -364,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=10_000)
     p.add_argument("--samples", type=int, default=200)
     _add_common(p)
-    p.set_defaults(run=cmd_sharpness)
+    p.set_defaults(run=cmd_report, experiment=sharpness_check)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="run at scale 0.1")

@@ -222,7 +222,7 @@ def verify_action_identity(
     started = time.perf_counter()
     gen = rng.generator()
     g = make_gsk(s, k)
-    scale = math.sqrt(1.0 + s * s)
+    scale = math.hypot(1.0, s)
     worst = 0.0
     for _ in range(trials):
         t = sample_tree(k + 1, gen)
@@ -368,7 +368,7 @@ def verify_convolution(
     started = time.perf_counter()
     n = target.level
     width = 1 << n
-    scale = math.sqrt(1.0 + a * a)
+    scale = math.hypot(1.0, a)
 
     def fubini_block(gen: np.random.Generator, count: int) -> np.ndarray:
         x = standard_complex(gen, (count, width), out=block_buffer("fubini_x", (count, width)))
@@ -440,7 +440,7 @@ def verify_conditional_independence(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     started = time.perf_counter()
     n = target.level
-    scale = math.sqrt(1.0 + s * s)
+    scale = math.hypot(1.0, s)
     default_block_size(n + 1)
 
     if given is None:
@@ -522,7 +522,7 @@ def _scanned_hits(
     different ``z`` share their draws, so they are dependent.
     """
     width = 1 << target.level
-    scale = math.sqrt(1.0 + a * a)
+    scale = math.hypot(1.0, a)
 
     def scan_block(gen: np.random.Generator, count: int) -> np.ndarray:
         w = standard_complex(gen, (count, width), out=block_buffer("scan", (count, width)))
@@ -570,7 +570,7 @@ def _fiber_scan(
     if not isinstance(target, DiskProduct):
         hits = _scanned_hits(target, a, shifts, inner_samples, rng, workers)
         return base, hits / inner_samples, hits
-    return base, disk_product_mass(target.radii, target.centers, math.sqrt(1.0 + a * a), shifts), None
+    return base, disk_product_mass(target.radii, target.centers, math.hypot(1.0, a), shifts), None
 
 
 def positivity_scan(
@@ -778,7 +778,7 @@ def sharpness_check(
     combined = np.sqrt(np.mean((a * x + b * y) ** 2, axis=1))
     inverse = np.sqrt(np.mean(((x - b * y) / a) ** 2, axis=1))
     combined_expected = math.hypot(a, b)
-    inverse_expected = math.sqrt(1.0 + b * b) / abs(a)
+    inverse_expected = math.hypot(1.0, b) / abs(a)
 
     observed = {
         "combined_mean": float(combined.mean()),

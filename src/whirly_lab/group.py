@@ -110,7 +110,7 @@ def make_gsk(s: float, k: int) -> GroupElement:
     if k < 0:
         raise ValueError("bit position k must be non-negative")
     signs = np.array([1, -1])
-    return GroupElement(k + 1, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
+    return GroupElement(k + 1, (1.0 + 1j * s * signs) / math.hypot(1.0, s))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, determinism, output, and exit codes."""
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -486,6 +487,109 @@ class TestVerifyCommands:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # sqrt(1 + x*x) overflows above |x| ~ 1.34e154; the identities
+            # hold for every strength and every translate.
+            ["verify-convolve", "--a", "1e300", "--samples", "1000"],
+            ["verify-action-identity", "--s", "1e200"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_huge_dilation_factors_pass(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "3")
+        assert code == 0, err
+        assert json.loads(out)["pass"] is True
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Each experiment command with every flag set to a small value other than its
+# default, and the call those flags must make.
+_EXPERIMENT_CALLS = [
+    (
+        ["verify-marginals", "--level", "2", "--samples", "2000"],
+        experiments_module.verify_marginals, dict(n=2, samples=2000),
+    ),
+    (
+        ["verify-action-identity", "--level", "2", "--k", "4", "--s", "0.5", "--trials", "30"],
+        experiments_module.verify_action_identity, dict(n=2, k=4, s=0.5, trials=30),
+    ),
+    (
+        [
+            "verify-continuity", "--radius", "1.5", "--center", "0.2,-0.1", "--epsilon", "0.2", "--level", "3",
+            "--samples", "2000", "--pairs", "4", "--workers", "2",
+        ],
+        experiments_module.verify_continuity,
+        dict(radius=1.5, center=0.2 - 0.1j, epsilon=0.2, n=3, samples=2000, pairs=4, workers=2),
+    ),
+    (
+        ["verify-convolve", "--set", "disk:level1:r1.2", "--a", "-1.5", "--samples", "2000", "--workers", "2"],
+        experiments_module.verify_convolution,
+        dict(target=disk_product(1, 0j, 1.2), a=-1.5, samples=2000, workers=2),
+    ),
+    (
+        [
+            "verify-independence", "--set", "disk:level0:r0.8", "--s", "0.7", "--m", "2", "--samples", "2000",
+            "--workers", "2",
+        ],
+        experiments_module.verify_conditional_independence,
+        dict(target=disk_product(0, 0j, 0.8), s=0.7, m=2, samples=2000, workers=2),
+    ),
+    (
+        ["positivity-scan", "--set", "disk:level0:r1.3:c0.1,0.1", "--a", "1.5", "--z-samples", "30",
+         "--inner-samples", "300"],
+        experiments_module.positivity_scan,
+        dict(target=disk_product(0, 0.1 + 0.1j, 1.3), a=1.5, z_samples=30, inner_samples=300),
+    ),
+    (
+        [
+            "whirly-search", "--set", "disk:level0:r1.1", "--epsilon", "0.6", "--samples", "2000", "--max-depth", "4",
+            "--z-samples", "25", "--inner-samples", "300", "--workers", "2",
+        ],
+        experiments_module.whirly_search,
+        dict(
+            target=disk_product(0, 0j, 1.1), epsilon=0.6, samples=2000, max_depth=4, z_samples=25,
+            inner_samples=300, workers=2,
+        ),
+    ),
+    (
+        ["sharpness", "--a", "1.5", "--b", "0.5", "--dims", "1200", "--samples", "30"],
+        experiments_module.sharpness_check, dict(a=1.5, b=0.5, dims=1200, samples=30),
+    ),
+]
+
+
+class TestExperimentCommands:
+    """Each experiment command calls its function with options named after
+    the function's parameters."""
+
+    @pytest.mark.parametrize(
+        "argv, experiment, options", _EXPERIMENT_CALLS, ids=[argv[0] for argv, _, _ in _EXPERIMENT_CALLS]
+    )
+    def test_every_flag_reaches_its_parameter(self, capsys, argv, experiment, options):
+        flags = set(_subparsers()[argv[0]]._option_string_actions) - {"-h", "--help", "--seed"}
+        assert flags == {arg for arg in argv if arg.startswith("--")}
+        code, out, _ = run_cli(capsys, *argv, "--seed", "7")
+        report = experiment(rng=RngStream(7), **options)
+        assert out == json.dumps(report.json_dict(), indent=2, sort_keys=True) + "\n"
+        assert code == (0 if report.passed else 1)
+
+    def test_every_experiment_binds_its_defaults(self):
+        bound = set()
+        for name, command in _subparsers().items():
+            experiment = command.get_default("experiment")
+            if experiment is None:
+                continue
+            args = vars(build_parser().parse_args([name]))
+            defaults = {k: v for k, v in args.items() if k not in ("command", "run", "experiment", "seed")}
+            inspect.signature(experiment).bind(rng=RngStream(1), **defaults)
+            bound.add(name)
+        assert bound == {argv[0] for argv, _, _ in _EXPERIMENT_CALLS}
 
 
 class TestSuiteCommand:

@@ -355,7 +355,7 @@ class TestTranslatedScan:
         rng = RngStream(137)
         _, exact, _ = experiments_module._fiber_scan(target, a, self.Z_SAMPLES, self.INNER, self.INNER, rng)
         zs = standard_complex(rng.child(1).generator(), (self.Z_SAMPLES, width))
-        scale = math.sqrt(1.0 + a * a)
+        scale = math.hypot(1.0, a)
         np.testing.assert_array_equal(exact, tree_module.disk_product_mass(target.radii, target.centers, scale, a * zs))
 
     def test_binomial_hits_follow_the_scan_on_the_same_z(self):

@@ -42,6 +42,13 @@ class TestConstruction:
         np.testing.assert_allclose(g.phases[0::2], g.phases[0])
         np.testing.assert_allclose(g.phases[1::2], g.phases[1])
 
+    def test_make_gsk_of_a_huge_strength_has_unit_phases(self):
+        # sqrt(1 + s*s) overflows above |s| ~ 1.34e154; the phases tend to
+        # +-i, and the element is built rather than refused.
+        g = make_gsk(1e200, 0)
+        np.testing.assert_allclose(np.abs(g.phases), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g.phases, [1j, -1j], rtol=0, atol=1e-15)
+
     def test_phases_must_be_unimodular(self):
         with pytest.raises(ValueError):
             GroupElement(1, np.array([1.0 + 0j, 0.5 + 0j]))
@@ -73,7 +80,7 @@ class TestCompactForm:
             assert g.level == k + 1
             assert g.pattern.size == 2
             signs = 1 - 2 * (np.arange(1 << (k + 1)) & 1)
-            _same_bits(g.phases, (1.0 + 1j * s * signs) / math.sqrt(1.0 + s * s))
+            _same_bits(g.phases, (1.0 + 1j * s * signs) / math.hypot(1.0, s))
 
     def test_identity_holds_one_phase(self):
         for level in (0, 1, 5):
