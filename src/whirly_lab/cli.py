@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Every command resolves its seed from ``--seed``, then the ``WHIRLY_LAB_SEED``
-environment variable, then a fixed default, and derives all randomness from
-that seed through named streams.  Standard output carries the result as one
-JSON document, byte-deterministic for a fixed command line and seed; progress
-and timing notes go to standard error.  Each experiment command calls its
-function with options named after the function's parameters.
+Every command takes its seed from ``--seed`` alone, the acceptance seed by
+default, and derives all randomness from that seed through named streams.
+Standard output carries the result as one JSON document, byte-deterministic
+for a fixed command line; progress and timing notes go to standard error.
+Each experiment command calls its function with options named after the
+function's parameters.  ``sample`` writes its levels as it formats them, so
+its only depth limit is the sampler budget.
 
 Exit codes: 0 on success (and on verifications that pass), 1 when a
 verification or the acceptance suite fails, 2 on usage errors.
@@ -16,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+
+import numpy as np
 
 from .acceptance import ACCEPTANCE_SEED, CRITERIA
 from .experiments import (
@@ -33,15 +35,12 @@ from .experiments import (
 from .montecarlo import estimate_measure
 from .rng import RngStream
 from .sets import BorelSet, disk_product, set_from_json
-from .tree import sample_tree
+from .tree import sample_levels
 
-ENV_SEED = "WHIRLY_LAB_SEED"
-DEFAULT_SEED = ACCEPTANCE_SEED
-
-# ``sample`` prints a tree through Python lists of ``[re, im]`` pairs, about
-# 35 times the tree's own bytes: with stdout to a file, depth 19 peaks at
-# 574 MB RSS and depth 20 at 1,090 MB, so depth 19 is the deepest under 1 GiB.
-SAMPLE_MAX_DEPTH = 19
+# ``sample`` formats and writes this many floats at a time (an even count, so
+# no ``[re, im]`` pair is split), so its print holds one chunk beside the tree.
+_SAMPLE_CHUNK_FLOATS = 1 << 16
+_SAMPLE_PAIR = "      [\n        {!r},\n        {!r}\n      ]"
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +111,8 @@ def parse_set_spec(text: str) -> BorelSet:
         raise argparse.ArgumentTypeError(f"bad set file {text!r}: {exc}")
 
 
-def resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return DEFAULT_SEED
-
-
 def _stream(args: argparse.Namespace) -> RngStream:
-    return RngStream(resolve_seed(args.seed))
+    return RngStream(args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +130,25 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
-    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${ENV_SEED} or {DEFAULT_SEED})")
+    parser.add_argument("--seed", type=int, default=ACCEPTANCE_SEED, help="master seed (default: %(default)s)")
     if workers:
         parser.add_argument("--workers", type=int, default=1, help="worker threads (results are identical for any count)")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.depth > SAMPLE_MAX_DEPTH:
-        raise ValueError(f"sample --depth {args.depth} is over the print budget: at most {SAMPLE_MAX_DEPTH}")
-    tree = sample_tree(args.depth, _stream(args).generator())
-    payload = {
-        "depth": tree.depth,
-        "levels": [[[z.real, z.imag] for z in level] for level in tree.levels],
-        "seed": resolve_seed(args.seed),
-    }
-    _emit_json(payload, sys.stdout)
+    """Print one tree as ``_emit_json`` would print ``{"depth", "levels",
+    "seed"}`` with each level a list of ``[re, im]`` pairs, a chunk at a time."""
+    levels = sample_levels(args.depth, 1, _stream(args).generator())
+    out = sys.stdout
+    out.write(f'{{\n  "depth": {args.depth},\n  "levels": [\n')
+    for n, level in enumerate(levels):
+        values = level[0].view(np.float64)
+        out.write(",\n    [\n" if n else "    [\n")
+        for start in range(0, values.size, _SAMPLE_CHUNK_FLOATS):
+            chunk = values[start:start + _SAMPLE_CHUNK_FLOATS].tolist()
+            out.write((",\n" if start else "") + ",\n".join(map(_SAMPLE_PAIR.format, chunk[0::2], chunk[1::2])))
+        out.write("\n    ]")
+    out.write(f'\n  ],\n  "seed": {args.seed}\n}}\n')
     return 0
 
 
@@ -184,7 +175,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"{criterion.key}: {criterion.title}")
         return 0
     scale = 0.1 if args.quick else 1.0
-    seed = resolve_seed(args.seed)
     chosen = CRITERIA
     if args.criteria:
         wanted = set(args.criteria.split(","))
@@ -195,13 +185,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
         chosen = tuple(c for c in CRITERIA if c.key in wanted)
     results = []
     for criterion in chosen:
-        report = criterion.run(seed=seed, workers=args.workers, scale=scale)
+        report = criterion.run(seed=args.seed, workers=args.workers, scale=scale)
         verdict = "PASS" if report.passed else "FAIL"
         print(f"{verdict} {criterion.key}: {criterion.title} ({report.runtime_ms} ms)", file=sys.stderr)
         results.append((criterion, report))
     all_passed = all(r.passed for _, r in results)
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "scale": scale,
         "pass": all_passed,
         "criteria": {c.key: r.json_dict() for c, r in results},
@@ -227,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw one tree and print its levels")
-    p.add_argument("--depth", type=int, default=4, help=f"tree depth, at most {SAMPLE_MAX_DEPTH}")
+    p.add_argument("--depth", type=int, default=4, help="tree depth")
     _add_common(p)
     p.set_defaults(run=cmd_sample)
 
@@ -313,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="run at scale 0.1")
     p.add_argument("--criteria", type=str, default=None, help="comma-separated criterion keys")
     p.add_argument("--list", action="store_true", help="list criteria and exit")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    _add_common(p, workers=True)
     p.set_defaults(run=cmd_suite)
 
     return parser

@@ -83,9 +83,12 @@ class ExperimentReport:
     parameters: dict
     observed: dict
     thresholds: dict
-    passed: bool
     seed: int
     runtime_ms: int
+
+    @property
+    def passed(self) -> bool:
+        return self.evaluate(self.observed, self.thresholds)
 
     @staticmethod
     def evaluate(observed: dict, thresholds: dict) -> bool:
@@ -136,13 +139,11 @@ def _finish(
     seed: int,
     started: float,
 ) -> ExperimentReport:
-    passed = ExperimentReport.evaluate(observed, thresholds)
     return ExperimentReport(
         name=name,
         parameters=parameters,
         observed=observed,
         thresholds=thresholds,
-        passed=passed,
         seed=seed,
         runtime_ms=int(1000.0 * (time.perf_counter() - started)),
     )

@@ -93,9 +93,19 @@ def disk_product_mass(radii: np.ndarray, centers: np.ndarray, scale: float = 1.0
                       shifts: np.ndarray | float = 0.0) -> np.ndarray:
     """Measure of ``scale*K + shifts`` for the product ``K`` of open disks of
     ``radii`` about ``centers``, along the last axis:
-    ``prod_i chndtr((scale*r_i)**2, 2, |shifts_i + scale*c_i|**2)``."""
+    ``prod_i chndtr((scale*r_i)**2, 2, |shifts_i + scale*c_i|**2)``.
+
+    ``chndtr`` is NaN where its argument and noncentrality pass about 1e11
+    and nearly agree, and almost everywhere past about 1e19, so a measure it
+    leaves NaN is refused with a ``ValueError``."""
     offsets = np.abs(shifts + scale * centers)
-    return np.prod(chndtr(np.square(scale * radii), 2, np.square(offsets)), axis=-1)
+    masses = np.prod(chndtr(np.square(scale * radii), 2, np.square(offsets)), axis=-1)
+    if np.isnan(masses).any():
+        raise ValueError(
+            "disk measure out of chndtr's range: it is NaN where the squared radius and "
+            "squared offset pass about 1e11 and nearly agree, and almost everywhere past about 1e19"
+        )
+    return masses
 
 
 def standard_complex(

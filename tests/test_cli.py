@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,45 +186,47 @@ class TestSampleCommand:
         _, out2, _ = run_cli(capsys, "sample", "--depth", "2", "--seed", "6")
         assert out1 != out2
 
-    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("WHIRLY_LAB_SEED", "abc")
-        code, out, err = run_cli(capsys, "sample", "--depth", "2")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "WHIRLY_LAB_SEED" in err
-
-    def test_env_seed_is_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("WHIRLY_LAB_SEED", "5")
-        _, out_env, _ = run_cli(capsys, "sample", "--depth", "2")
-        monkeypatch.delenv("WHIRLY_LAB_SEED")
-        _, out_flag, _ = run_cli(capsys, "sample", "--depth", "2", "--seed", "5")
-        assert out_env == out_flag
-
-    def test_depth_over_the_print_budget_exits_two_before_any_draw(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("drew before checking the print budget")
-
-        monkeypatch.setattr(RngStream, "generator", refuse)
-        code, out, err = run_cli(capsys, "sample", "--depth", str(cli_module.SAMPLE_MAX_DEPTH + 1))
-        assert code == 2
-        assert out == ""
-        assert "print budget" in err
-
-    def test_depth_at_the_print_budget_prints(self, capsys, monkeypatch):
-        # The tree at the cap takes seconds to print; a depth-2 tree stands
-        # in for it once the command has let the cap through.
-        depths = []
-
-        def small_tree(depth, gen):
-            depths.append(depth)
-            return tree_module.sample_tree(2, gen)
-
-        monkeypatch.setattr(cli_module, "sample_tree", small_tree)
-        code, out, _ = run_cli(capsys, "sample", "--depth", str(cli_module.SAMPLE_MAX_DEPTH))
+    @pytest.mark.parametrize("seed", ["5", "31415926"])
+    @pytest.mark.parametrize("depth", [0, 1, 5, 12])
+    def test_streamed_print_is_the_json_of_the_tree(self, capsys, seed, depth):
+        code, out, _ = run_cli(capsys, "sample", "--depth", str(depth), "--seed", seed)
+        tree = tree_module.sample_tree(depth, RngStream(int(seed)).generator())
+        payload = {
+            "depth": tree.depth,
+            "levels": [[[z.real, z.imag] for z in level] for level in tree.levels],
+            "seed": int(seed),
+        }
         assert code == 0
-        assert depths == [cli_module.SAMPLE_MAX_DEPTH]
-        assert json.loads(out)["depth"] == 2
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_a_level_over_several_chunks_prints_whole(self, capsys, monkeypatch):
+        _, whole, _ = run_cli(capsys, "sample", "--depth", "5")
+        monkeypatch.setattr(cli_module, "_SAMPLE_CHUNK_FLOATS", 6)
+        _, chunked, _ = run_cli(capsys, "sample", "--depth", "5")
+        assert chunked == whole
+
+    def test_depth_over_the_sampler_budget_exits_two_before_any_draw(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before checking the sampler budget")
+
+        monkeypatch.setattr(tree_module, "standard_complex", refuse)
+        code, out, err = run_cli(capsys, "sample", "--depth", "26")
+        assert code == 2
+        assert out == ""
+        assert "sampler budget" in err
+
+    def test_print_holds_little_beside_the_tree(self, monkeypatch):
+        # A depth-16 tree is 2.1 MB, and its print holds one chunk of
+        # formatted numbers at a time.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--depth", "16"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestEstimateCommand:
@@ -503,6 +506,24 @@ class TestVerifyCommands:
         assert code == 0, err
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # At |a| = 1e10 the squared radius and offsets pass 1e19, where
+            # chndtr is NaN; a scan's binomial draw, or a search's sorted
+            # measures, would take the NaN.
+            ["positivity-scan", "--a", "1e10", "--z-samples", "10", "--inner-samples", "200"],
+            ["whirly-search", "--epsilon", "1e-10", "--samples", "1000", "--max-depth", "3",
+             "--z-samples", "20", "--inner-samples", "200"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_measures_out_of_chndtr_range_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "chndtr's range" in err
+
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -687,7 +708,6 @@ class TestSuiteCommand:
             pytest.skip("NumPy has no SIMD dispatch target above its baseline on this machine")
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        env.pop("WHIRLY_LAB_SEED", None)
         child = subprocess.run(
             [sys.executable, "-m", "whirly_lab.cli", "suite", "--quick"],
             env=env, capture_output=True, text=True, timeout=600,

@@ -1,6 +1,7 @@
 """Verifier experiments: happy paths at reduced samples, negative controls
 that must fail, and report mechanics."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -65,6 +66,14 @@ class TestReportMechanics:
     def test_pass_flag_is_recomputable(self):
         report = verify_action_identity(0, 1, 0.5, 10, RngStream(101))
         assert report.passed == ExperimentReport.evaluate(report.observed, report.thresholds)
+
+    def test_replaced_thresholds_rejudge_the_report(self):
+        report = verify_action_identity(0, 1, 0.5, 10, RngStream(101))
+        assert report.passed
+        violated = {key: {"lt": -1.0} for key in report.thresholds}
+        stale = dataclasses.replace(report, thresholds=violated)
+        assert stale.passed is False
+        assert stale.json_dict()["pass"] is False
 
     def test_json_isolates_runtime(self):
         report = verify_action_identity(0, 1, 0.5, 10, RngStream(102))

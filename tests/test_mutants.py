@@ -7,6 +7,7 @@ it, so a caller that imported the function by name runs the mutant too.
 Marginals fails unmutated at quick scale, so it takes no part here.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -40,6 +41,31 @@ def _union_for_difference(original):
     return lambda a, b: sets_module.boolean_combine("union", [a, b])
 
 
+def _first_innovation_reused(original):
+    # The innovation path refines one level vector once per bit; the mutant
+    # hands every later bit the first bit's innovation.
+    first = {}
+
+    def mutant(parent, innovation):
+        if first.get("parent") is not parent:
+            first.update(parent=parent, innovation=innovation.copy())
+        return original(parent, first["innovation"])
+
+    return mutant
+
+
+def _dilation_times_1_3(original):
+    def mutant(radii, centers, scale=1.0, shifts=0.0):
+        a = math.sqrt(scale * scale - 1.0)
+        return original(radii, centers, math.hypot(1.0, 1.3 * a), 1.3 * shifts)
+
+    return mutant
+
+
+def _siblings_halved(original):
+    return lambda child: (child[..., 0::2] + child[..., 1::2]) / 2.0
+
+
 # (id, module, name, mutant factory, {criterion key: outcome}); an outcome
 # is "fails", or "raises <message>" for a criterion that raises ValueError.
 ROWS = [
@@ -60,6 +86,15 @@ ROWS = [
             "independence": "fails",
             "whirly": "fails",
         },
+    ),
+    (
+        "one-innovation-for-every-bit", tree_module, "refine", _first_innovation_reused,
+        dict.fromkeys(("independence", "whirly"), "fails"),
+    ),
+    ("dilation-a-x1.3", tree_module, "disk_product_mass", _dilation_times_1_3, {"positivity": "fails"}),
+    (
+        "siblings-averaged-by-half", tree_module, "_coarsen", _siblings_halved,
+        {"identities": "raises averaging constraint violated at level 0"},
     ),
 ]
 

@@ -1,6 +1,7 @@
 """The package's public surface: its exports and the names the benchmark binds."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import whirly_lab
@@ -32,3 +33,11 @@ def test_benchmark_tracer_reaches_every_binding():
     finally:
         tr.uninstall()
     assert whirly_lab.tree.sample_levels is original
+
+
+def test_no_module_reads_the_environment():
+    # Standard output depends on the command line alone, so no module
+    # reads the environment.
+    package = Path(whirly_lab.__file__).parent
+    reading = [path.name for path in sorted(package.glob("*.py")) if re.search(r"\bos\.(environ|getenv)\b", path.read_text())]
+    assert reading == []

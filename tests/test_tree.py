@@ -469,6 +469,12 @@ class TestDiskMass:
             expected = pytest.approx(product, rel=64 * np.finfo(float).eps, abs=0.0)
             assert tree_module.disk_product_mass(radii, centers) == expected
 
+    def test_disk_product_mass_refuses_a_nan_from_chndtr(self):
+        # chndtr(1e12 + 1, 2, 1e12) is NaN: the dilated disk's edge passes
+        # through its own shift.
+        with pytest.raises(ValueError, match="chndtr's range"):
+            tree_module.disk_product_mass(np.array([1.0]), np.array([0j]), math.hypot(1.0, 1e6), np.array([1e6 + 0j]))
+
     def test_gaussian_closed_forms_have_one_home(self):
         # Every other module takes its exact disk laws from tree.py.
         package = Path(tree_module.__file__).parent
