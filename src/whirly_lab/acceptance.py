@@ -29,6 +29,7 @@ from .experiments import (
     _finish,
     _sigma,
     positivity_scan,
+    report_json,
     sharpness_check,
     verify_action_identity,
     verify_conditional_independence,
@@ -361,11 +362,11 @@ def _run_engineering(seed: int, workers: int, scale: float) -> ExperimentReport:
 
     serial = estimate_measure(target, 2, samples, stream.child(0), workers=1)
     threaded = estimate_measure(target, 2, samples, stream.child(0), workers=4)
-    json_identical = serial.to_json() == threaded.to_json()
+    json_identical = report_json(serial.json_dict()) == report_json(threaded.json_dict())
 
     conv_serial = verify_convolution(target, 1.0, samples, stream.child(1), workers=1)
     conv_threaded = verify_convolution(target, 1.0, samples, stream.child(1), workers=4)
-    report_identical = conv_serial.to_json() == conv_threaded.to_json()
+    report_identical = report_json(conv_serial.json_dict()) == report_json(conv_threaded.json_dict())
 
     truth = disk_mass(1.0)
     runs = _scaled(200, scale, 50)

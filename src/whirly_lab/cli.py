@@ -24,6 +24,7 @@ import numpy as np
 from .acceptance import ACCEPTANCE_SEED, CRITERIA
 from .experiments import (
     positivity_scan,
+    report_json,
     sharpness_check,
     verify_action_identity,
     verify_conditional_independence,
@@ -116,15 +117,6 @@ def _stream(args: argparse.Namespace) -> RngStream:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-
-def _emit_json(payload: dict, out) -> None:
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -136,7 +128,7 @@ def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> No
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    """Print one tree as ``_emit_json`` would print ``{"depth", "levels",
+    """Print one tree as ``report_json`` would print ``{"depth", "levels",
     "seed"}`` with each level a list of ``[re, im]`` pairs, a chunk at a time."""
     levels = sample_levels(args.depth, 1, _stream(args).generator())
     out = sys.stdout
@@ -156,17 +148,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     est = estimate_measure(
         args.set, args.set.level, args.samples, _stream(args), workers=args.workers, confidence=args.confidence
     )
-    _emit_json(est.json_dict(), sys.stdout)
+    print(report_json(est.json_dict()))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("command", "run", "experiment", "seed")}
     report = args.experiment(rng=_stream(args), **options)
-    verdict = "PASS" if report.passed else "FAIL"
+    body = report.json_dict()
+    text = report_json(body)
+    verdict = "PASS" if body["pass"] else "FAIL"
     print(f"{verdict} {report.name} ({report.runtime_ms} ms)", file=sys.stderr)
-    _emit_json(report.json_dict(), sys.stdout)
-    return 0 if report.passed else 1
+    print(text)
+    return 0 if body["pass"] else 1
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -196,7 +190,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         "pass": all_passed,
         "criteria": {c.key: r.json_dict() for c, r in results},
     }
-    _emit_json(payload, sys.stdout)
+    print(report_json(payload))
     return 0 if all_passed else 1
 
 

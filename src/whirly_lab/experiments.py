@@ -121,8 +121,11 @@ class ExperimentReport:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.json_dict(), indent=2, sort_keys=True)
+
+def report_json(payload: dict) -> str:
+    """The one text form of every report: indented JSON with sorted keys.
+    A NaN or an infinity raises ``ValueError`` rather than print."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _sigma(diff: float, se: float) -> float:

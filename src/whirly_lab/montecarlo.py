@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import threading
 from collections import deque
@@ -280,9 +279,6 @@ class MeasureEstimate:
             "seed": self.seed,
             "confidence": self.confidence,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.json_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

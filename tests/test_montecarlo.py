@@ -46,6 +46,7 @@ from whirly_lab import (
     whirly_search,
     wilson_interval,
 )
+from whirly_lab.experiments import report_json
 from whirly_lab.montecarlo import ReadFactor, block_buffer
 
 
@@ -363,7 +364,7 @@ class TestEstimateMeasure:
         d = disk_product(1, 0j, 1.2)
         a = estimate_measure(d, 1, 30_000, RngStream(76), workers=1)
         b = estimate_measure(d, 1, 30_000, RngStream(76), workers=4)
-        assert a.to_json() == b.to_json()
+        assert report_json(a.json_dict()) == report_json(b.json_dict())
 
     def test_json_shape(self):
         est = estimate_measure(disk_product(0, 0j, 1.0), 0, 1000, RngStream(77))
@@ -731,7 +732,7 @@ def _measure_of(make):
     def run(extra: int, workers: int) -> str:
         target = make()
         est = estimate_measure(target, target.level + extra, 30_000, RngStream(98), workers=workers)
-        return est.to_json()
+        return report_json(est.json_dict())
 
     return run
 
@@ -756,7 +757,7 @@ def _search_of(make):
         report = whirly_search(
             make(), 0.5, 2000, 3, RngStream(98), z_samples=20, inner_samples=140_000, workers=workers
         )
-        return report.to_json()
+        return report_json(report.json_dict())
 
     return run
 
@@ -827,7 +828,7 @@ class TestReadPath:
     def test_depth_decides_nothing(self):
         disk = disk_product(0, 0j, 1.0)
         deep = estimate_measure(disk, 40, 1000, RngStream(101))
-        assert deep.to_json() == estimate_measure(disk, 0, 1000, RngStream(101)).to_json()
+        assert report_json(deep.json_dict()) == report_json(estimate_measure(disk, 0, 1000, RngStream(101)).json_dict())
 
     def test_budget_is_checked_on_the_level_the_blocks_fill(self, monkeypatch):
         def no_draw(*args, **kwargs):
