@@ -112,7 +112,7 @@ def _run_identities(seed: int, workers: int, scale: float) -> ExperimentReport:
     s_values = (0.0, 0.5, -0.5, 1.0, -1.0, 3.0)
 
     # The folds take np.maximum, which, unlike max, keeps a NaN residual,
-    # so that it fails its limit.
+    # so that the report refuses it.
     max_push = 0.0
     max_recursion = 0.0
     max_action = 0.0

@@ -76,7 +76,9 @@ class ExperimentReport:
     """Outcome of one experiment: parameters in, observations out.
 
     ``thresholds`` maps an observed key to comparison rules among ``max``,
-    ``min``, ``lt``, ``gt``; the report passes when every rule holds.
+    ``min``, ``lt``, ``gt``; the report passes when every rule holds.  A NaN
+    or an infinity anywhere in ``parameters`` or ``observed`` is refused with
+    a ``ValueError`` that names every such field.
     """
 
     name: str
@@ -85,6 +87,11 @@ class ExperimentReport:
     thresholds: dict
     seed: int
     runtime_ms: int
+
+    def __post_init__(self) -> None:
+        bad = [*_non_finite(self.parameters, "parameters"), *_non_finite(self.observed, "observed")]
+        if bad:
+            raise ValueError(f"report fields not finite: {', '.join(bad)}")
 
     @property
     def passed(self) -> bool:
@@ -120,6 +127,20 @@ class ExperimentReport:
             "pass": self.passed,
             "seed": self.seed,
         }
+
+
+def _non_finite(value, path: str):
+    """Yield the path of every NaN or infinity in ``value``, walking nested
+    dicts and lists."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{i}]")
 
 
 def report_json(payload: dict) -> str:

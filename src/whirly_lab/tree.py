@@ -74,9 +74,16 @@ class LevelMismatchError(ValueError):
 
 SECOND_MOMENT = 2.0
 
+_CHNDTR_RANGE = (
+    "disk measure out of chndtr's range: it is NaN where the squared radius and "
+    "squared offset pass about 1e11 and nearly agree, and almost everywhere past about 1e19"
+)
+
 
 def disk_mass(radius: float, center: complex = 0.0) -> float:
-    """Probability that a standard complex Gaussian lies in ``|z - center| < radius``."""
+    """Probability that a standard complex Gaussian lies in ``|z - center| < radius``;
+    a NaN from ``chndtr`` is refused with a ``ValueError``, as in
+    :func:`disk_product_mass`."""
     if radius != radius:
         raise ValueError("radius must not be NaN")
     if radius <= 0.0:
@@ -86,7 +93,10 @@ def disk_mass(radius: float, center: complex = 0.0) -> float:
     offset = abs(center)
     if offset == 0.0:
         return -math.expm1(-0.5 * radius * radius)
-    return float(chndtr(radius * radius, 2, offset * offset))
+    mass = float(chndtr(radius * radius, 2, offset * offset))
+    if mass != mass:
+        raise ValueError(_CHNDTR_RANGE)
+    return mass
 
 
 def disk_product_mass(radii: np.ndarray, centers: np.ndarray, scale: float = 1.0,
@@ -101,10 +111,7 @@ def disk_product_mass(radii: np.ndarray, centers: np.ndarray, scale: float = 1.0
     offsets = np.abs(shifts + scale * centers)
     masses = np.prod(chndtr(np.square(scale * radii), 2, np.square(offsets)), axis=-1)
     if np.isnan(masses).any():
-        raise ValueError(
-            "disk measure out of chndtr's range: it is NaN where the squared radius and "
-            "squared offset pass about 1e11 and nearly agree, and almost everywhere past about 1e19"
-        )
+        raise ValueError(_CHNDTR_RANGE)
     return masses
 
 

@@ -78,12 +78,13 @@ def test_limits_follow_the_experiment(monkeypatch, key, experiment, statistic, l
 
 
 # Each mutation turns some exact residuals of the identities criterion into
-# NaN; the criterion's folds must keep the NaN, so that it fails its limit.
+# NaN; the criterion's folds must keep the NaN, so that its report refuses
+# them by name.  The replaced action-identity report is refused first.
 _NAN_RESIDUALS = [
     ("project_vectors", ("max_pushforward_residual", "max_action_residual")),
     ("u_stat_arrays", ("max_recursion_residual", "max_action_residual")),
     ("phi_roundtrip", ("max_roundtrip_residual",)),
-    ("verify_action_identity", ("max_single_tree_residual",)),
+    ("verify_action_identity", ("max_residual",)),
 ]
 
 
@@ -99,6 +100,6 @@ def test_nan_residuals_fail_the_identities(monkeypatch, name, residuals):
 
     monkeypatch.setattr(acceptance_module, name, nan_result)
     criterion = next(c for c in CRITERIA if c.key == "identities")
-    report = criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
-    assert [key for key, value in report.observed.items() if math.isnan(value)] == list(residuals)
-    assert not report.passed
+    with pytest.raises(ValueError) as refused:
+        criterion.run(seed=ACCEPTANCE_SEED, workers=1, scale=0.1)
+    assert str(refused.value) == "report fields not finite: " + ", ".join(f"observed.{key}" for key in residuals)

@@ -515,6 +515,9 @@ class TestVerifyCommands:
             ["positivity-scan", "--a", "1e10", "--z-samples", "10", "--inner-samples", "200"],
             ["whirly-search", "--epsilon", "1e-10", "--samples", "1000", "--max-depth", "3",
              "--z-samples", "20", "--inner-samples", "200"],
+            # A disk of radius 1e6 about 1e6 has a NaN chndtr mass, which
+            # once reached stdout under a PASS verdict.
+            ["verify-continuity", "--radius", "1e6", "--center", "1e6,0", "--samples", "1000", "--pairs", "3"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -523,6 +526,7 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert "chndtr's range" in err
+        assert "PASS" not in err
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

@@ -36,7 +36,7 @@ from whirly_lab import (
     verify_marginals,
     whirly_search,
 )
-from whirly_lab.experiments import report_json
+from whirly_lab.experiments import _sigma, report_json
 
 UNIT_DISK = disk_product(0, 0j, 1.0)
 
@@ -85,6 +85,15 @@ class TestReportMechanics:
         assert payload["seed"] == 102
         assert json.loads(report_json(report.json_dict())) == payload
 
+    def test_non_finite_fields_are_refused_by_name(self):
+        # A zero SE with a nonzero difference is an infinite sigma; strings
+        # and finite numbers pass, and nested fields are named by their path.
+        parameters = {"given": "zero", "pairs": [[2.0, 1.0], ["sqrt2", math.nan]]}
+        observed = {"sigma": _sigma(0.1, 0.0), "flat": _sigma(0.0, 0.0), "low": -math.inf}
+        with pytest.raises(ValueError) as refused:
+            ExperimentReport("x", parameters, observed, {"sigma": {"max": 3.0}}, seed=1, runtime_ms=0)
+        assert str(refused.value) == "report fields not finite: parameters.pairs[1][1], observed.sigma, observed.low"
+
     def test_reports_are_deterministic(self):
         a = verify_marginals(1, 4000, RngStream(103))
         b = verify_marginals(1, 4000, RngStream(103))
@@ -119,9 +128,9 @@ class TestActionIdentity:
     def test_nan_residuals_fail(self, monkeypatch):
         exact = experiments_module.u_stat_vector
         monkeypatch.setattr(experiments_module, "u_stat_vector", lambda *args: exact(*args) * math.nan)
-        report = verify_action_identity(1, 2, 1.0, 3, RngStream(107))
-        assert math.isnan(report.observed["max_residual"])
-        assert not report.passed
+        with pytest.raises(ValueError) as refused:
+            verify_action_identity(1, 2, 1.0, 3, RngStream(107))
+        assert str(refused.value) == "report fields not finite: observed.max_residual"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,10 @@ ROWS = [
         "siblings-averaged-by-half", tree_module, "_coarsen", _siblings_halved,
         {"identities": "raises averaging constraint violated at level 0"},
     ),
+    (
+        "disk-mass-nan", tree_module, "disk_mass", lambda original: lambda radius, center=0.0: math.nan,
+        {"continuity": "raises report fields not finite: observed.annulus_mass", "engineering": "fails"},
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """The package's public surface: its exports and the names the benchmark binds."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -41,3 +42,17 @@ def test_no_module_reads_the_environment():
     package = Path(whirly_lab.__file__).parent
     reading = [path.name for path in sorted(package.glob("*.py")) if re.search(r"\bos\.(environ|getenv)\b", path.read_text())]
     assert reading == []
+
+
+def test_reports_leave_through_one_strict_writer():
+    # Every report is written by one json.dumps call, and that call refuses
+    # NaN and the infinities.
+    package = Path(whirly_lab.__file__).parent
+    calls = [
+        node
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+    ]
+    assert len(calls) == 1
+    assert [ast.unparse(k) for k in calls[0].keywords if k.arg == "allow_nan"] == ["allow_nan=False"]

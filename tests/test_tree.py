@@ -475,6 +475,11 @@ class TestDiskMass:
         with pytest.raises(ValueError, match="chndtr's range"):
             tree_module.disk_product_mass(np.array([1.0]), np.array([0j]), math.hypot(1.0, 1e6), np.array([1e6 + 0j]))
 
+    def test_disk_mass_refuses_a_nan_from_chndtr(self):
+        # chndtr(1e12, 2, 1e12) is NaN: the disk's edge passes through the origin.
+        with pytest.raises(ValueError, match="chndtr's range"):
+            tree_module.disk_mass(1e6, 1e6)
+
     def test_gaussian_closed_forms_have_one_home(self):
         # Every other module takes its exact disk laws from tree.py.
         package = Path(tree_module.__file__).parent
