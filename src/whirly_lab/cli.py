@@ -4,12 +4,16 @@ Every command takes its seed from ``--seed`` alone, the acceptance seed by
 default, and derives all randomness from that seed through named streams.
 Standard output carries the result as one JSON document, byte-deterministic
 for a fixed command line; progress and timing notes go to standard error.
+Reports leave through :func:`~whirly_lab.experiments.report_json`, which
+refuses NaN and the infinities, and a verdict line follows the body it
+judges, so a body that cannot be written exits 2 with no verdict.
 Each experiment command calls its function with options named after the
 function's parameters.  ``sample`` writes its levels as it formats them, so
 its only depth limit is the sampler budget.
 
 Exit codes: 0 on success (and on verifications that pass), 1 when a
-verification or the acceptance suite fails, 2 on usage errors.
+verification or the acceptance suite fails, 2 on usage errors and on inputs
+or reports that are refused.
 """
 
 from __future__ import annotations
